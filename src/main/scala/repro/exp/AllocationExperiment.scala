@@ -1,5 +1,6 @@
 package repro.exp
 
+import repro.Par
 import repro.core.{ConfigSelector, PpmKind}
 import repro.exp.CrossValidation.TrainedFold
 import repro.sim.{ClusterSimulator, DynamicAllocation}
@@ -64,7 +65,9 @@ object AllocationExperiment {
       initialExecutors: Int = 2,
       seed: Long = 23L,
   ): Result = {
-    val rows = workload.queries.map { q =>
+    // Queries are simulated in parallel; rows stay in workload order.
+    val rows = Par.tabulate(workload.queries.size) { i =>
+      val q     = workload.queries(i)
       val nPred = math.max(predicted(q.query.id), 1)
       def toRun(r: ClusterSimulator.RunResult) =
         PolicyRun(r.elapsedMs, r.skyline.maxN, r.skyline.aucExecutorSeconds)

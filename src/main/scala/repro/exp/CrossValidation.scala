@@ -5,10 +5,12 @@ import repro.core.{ParameterModel, PlanFeaturizer, PpmKind}
 import repro.ml.RandomForest
 import repro.sim.SparklensEstimator
 
-/** 10-repeated 5-fold cross-validation over query templates (paper §5.1):
-  * each repeat shuffles the queries into k folds; each fold's queries form
-  * the test set while the rest train the parameter models, so no test query
-  * ever appears in its own training set.
+/** 10-repeated 5-fold cross-validation over query ids (paper §5.1): each
+  * repeat shuffles the queries into k folds; each fold's queries form the
+  * test set while the rest train the parameter models, so no test query
+  * ever appears in its own training set. The split is by id, not by
+  * template: the variants of one template have identical plans and can sit
+  * on both sides of a split (ROADMAP item 3 proposes grouping by template).
   */
 object CrossValidation {
 
@@ -59,13 +61,14 @@ object CrossValidation {
       rfParams: RandomForest.Params = RandomForest.Params(),
   ): IndexedSeq[TrainedFold] = {
     val byId = workload.queries.map(q => q.query.id -> q).toMap
+    // Label curves are pure in the profile: one per query, shared by all folds.
+    val labelCurve = byId.map { case (id, q) => id -> SparklensEstimator.curve(q.profile, fitGrid) }
     splits(workload.queries.map(_.query.id), k, repeats, seed).map { case (r, f, trainIds, testIds) =>
       val examples = trainIds.map { id =>
-        val q = byId(id)
         ParameterModel.TrainingExample(
           queryId = id,
-          features = PlanFeaturizer.project(q.features, featureSubset),
-          curve = SparklensEstimator.curve(q.profile, fitGrid),
+          features = PlanFeaturizer.project(byId(id).features, featureSubset),
+          curve = labelCurve(id),
         )
       }
       val models = kinds.map { kind =>

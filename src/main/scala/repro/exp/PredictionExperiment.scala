@@ -20,33 +20,34 @@ object PredictionExperiment {
   )
 
   def run(workload: Workload, folds: IndexedSeq[TrainedFold], grid: IndexedSeq[Int] = WorkloadRunner.Grid): Result = {
-    val byId = workload.queries.map(q => q.query.id -> q).toMap
+    val byId   = workload.queries.map(q => q.query.id -> q).toMap
+    val actual = byId.map { case (id, q) => id -> q.actual.toMap }
 
-    def foldEn(fold: TrainedFold, ids: Seq[String], curveOf: (TrainedFold, QueryData) => Map[Int, Double], n: Int): Double =
-      Metrics.eN(ids.map { id =>
-        val q = byId(id)
-        (curveOf(fold, q)(n), q.actual.toMap.apply(n))
-      })
+    // Curves by fold, then query id. Each (fold, kind, query) is scored once
+    // over the whole grid; the E(n) sums below only look curves up.
+    type Curves = IndexedSeq[Map[String, Map[Int, Double]]]
+    def modelCurves(kind: PpmKind): Curves =
+      folds.map(f => (f.trainIds ++ f.testIds).map(id => id -> f.predict(kind, byId(id), grid).toMap).toMap)
+    val sparklens = byId.map { case (id, q) => id -> q.sparklens.toMap }
+    val sCurves: Curves = folds.map(_ => sparklens)
+    val plCurves = modelCurves(PpmKind.PowerLaw)
+    val alCurves = modelCurves(PpmKind.Amdahl)
 
-    def modelCurve(kind: PpmKind)(fold: TrainedFold, q: QueryData): Map[Int, Double] =
-      fold.predict(kind, q, grid).toMap
-    def sparklensCurve(fold: TrainedFold, q: QueryData): Map[Int, Double] = q.sparklens.toMap
-
-    def series(name: String, ids: TrainedFold => Seq[String], curveOf: (TrainedFold, QueryData) => Map[Int, Double]): Series =
+    def series(name: String, ids: TrainedFold => Seq[String], curves: Curves): Series =
       Series(name, grid.map { n =>
-        val vals = folds.map(f => foldEn(f, ids(f), curveOf, n))
+        val vals = folds.zip(curves).map { case (f, c) => Metrics.eN(ids(f).map(id => (c(id)(n), actual(id)(n)))) }
         (n, Metrics.mean(vals), Metrics.stddev(vals))
       })
 
     val test = IndexedSeq(
-      series("S", _.testIds, sparklensCurve),
-      series("AE_PL", _.testIds, modelCurve(PpmKind.PowerLaw)),
-      series("AE_AL", _.testIds, modelCurve(PpmKind.Amdahl)),
+      series("S", _.testIds, sCurves),
+      series("AE_PL", _.testIds, plCurves),
+      series("AE_AL", _.testIds, alCurves),
     )
     val train = IndexedSeq(
-      series("S", _.trainIds, sparklensCurve),
-      series("AE_PL", _.trainIds, modelCurve(PpmKind.PowerLaw)),
-      series("AE_AL", _.trainIds, modelCurve(PpmKind.Amdahl)),
+      series("S", _.trainIds, sCurves),
+      series("AE_PL", _.trainIds, plCurves),
+      series("AE_AL", _.trainIds, alCurves),
     )
     val sMean = test.head.byN.map { case (n, m, _) => n -> m }.toMap
     val gaps = Seq[PpmKind](PpmKind.PowerLaw, PpmKind.Amdahl).map { kind =>

@@ -3,6 +3,7 @@ package repro.ml
 import java.io.{ByteArrayOutputStream, FileInputStream, FileOutputStream, ObjectInputStream, ObjectOutputStream}
 import java.nio.file.Path
 import scala.util.Random
+import repro.Par
 
 /** Bagged multi-output random-forest regressor.
   *
@@ -78,16 +79,19 @@ object RandomForest {
   ): RandomForest = {
     require(x.nonEmpty && x.length == y.length, s"bad input sizes: ${x.length} vs ${y.length}")
     require(x.head.length == featureNames.length, "featureNames must match feature width")
-    val rng = new Random(params.seed)
-    val trees = (0 until params.nTrees).map { _ =>
-      val treeRng = new Random(rng.nextLong())
+    // Tree seeds are drawn in order before the fan-out, so the forest is the
+    // same whatever the number of cores or the scheduling.
+    val rng   = new Random(params.seed)
+    val seeds = Array.fill(params.nTrees)(rng.nextLong())
+    val trees = Par.tabulate(params.nTrees) { t =>
+      val treeRng = new Random(seeds(t))
       val (bx, by) =
         if (params.bootstrap) {
           val idx = Array.fill(x.length)(treeRng.nextInt(x.length))
           (idx.toIndexedSeq.map(x), idx.toIndexedSeq.map(y))
         } else (x, y)
       RegressionTree.fit(bx, by, params.tree, treeRng)
-    }
+    }.toVector // a Vector keeps the Java-serialized model byte for byte
     RandomForest(trees, featureNames, y.head.length)
   }
 

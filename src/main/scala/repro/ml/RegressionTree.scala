@@ -97,7 +97,7 @@ object RegressionTree {
       var bestRight: Array[Int] = null
 
       for (f <- candidates) {
-        val sorted = idx.sortBy(i => x(i)(f))
+        val sorted = sortByFeature(idx, x, f)
         // Candidate thresholds: midpoints between consecutive distinct values.
         var i = 0
         while (i < sorted.length - 1) {
@@ -125,4 +125,58 @@ object RegressionTree {
     // Depth is counted in node levels: a maxDepth of 1 yields a single leaf.
     build(x.indices.toArray, depth = 1)
   }
+
+  /** `idx` ordered by feature `f`, ties kept in input order: the order
+    * `idx.sortBy(i => x(i)(f))` gives, without boxing. The keys are copied
+    * into a primitive array and compared with `java.lang.Double.compare`,
+    * like Scala's default `Ordering[Double]`.
+    */
+  private[ml] def sortByFeature(idx: Array[Int], x: IndexedSeq[Array[Double]], f: Int): Array[Int] = {
+    val n    = idx.length
+    val keys = new Array[Double](n)
+    var i = 0
+    while (i < n) { keys(i) = x(idx(i))(f); i += 1 }
+    val ids = idx.clone()
+    mergeSort(keys, ids, new Array[Double](n), new Array[Int](n), 0, n)
+    ids
+  }
+
+  /** Runs up to this length are insertion-sorted. */
+  private val InsertionRun = 16
+
+  /** Stable merge sort of `keys(lo until hi)`, moving `ids` along; `tk`/`tv`
+    * are scratch buffers of the same length.
+    */
+  private def mergeSort(keys: Array[Double], ids: Array[Int], tk: Array[Double], tv: Array[Int], lo: Int, hi: Int): Unit =
+    if (hi - lo <= InsertionRun) {
+      var i = lo + 1
+      while (i < hi) {
+        val k = keys(i); val id = ids(i)
+        var j = i - 1
+        while (j >= lo && java.lang.Double.compare(keys(j), k) > 0) {
+          keys(j + 1) = keys(j); ids(j + 1) = ids(j); j -= 1
+        }
+        keys(j + 1) = k; ids(j + 1) = id
+        i += 1
+      }
+    } else {
+      val mid = (lo + hi) >>> 1
+      mergeSort(keys, ids, tk, tv, lo, mid)
+      mergeSort(keys, ids, tk, tv, mid, hi)
+      // Skip the merge when the halves are already in order.
+      if (java.lang.Double.compare(keys(mid - 1), keys(mid)) > 0) {
+        System.arraycopy(keys, lo, tk, lo, hi - lo)
+        System.arraycopy(ids, lo, tv, lo, hi - lo)
+        var a = lo; var b = mid; var o = lo
+        while (o < hi) {
+          // Ties take the left half first, which keeps the sort stable.
+          if (b >= hi || (a < mid && java.lang.Double.compare(tk(a), tk(b)) <= 0)) {
+            keys(o) = tk(a); ids(o) = tv(a); a += 1
+          } else {
+            keys(o) = tk(b); ids(o) = tv(b); b += 1
+          }
+          o += 1
+        }
+      }
+    }
 }

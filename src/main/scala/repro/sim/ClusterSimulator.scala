@@ -1,6 +1,7 @@
 package repro.sim
 
 import scala.collection.mutable
+import repro.Par
 
 /** Discrete-event simulator of a Spark cluster executing a profiled query —
   * the substitute for the paper's Azure Synapse Spark pool (DESIGN.md).
@@ -100,9 +101,12 @@ object ClusterSimulator {
       reps: Int = 5,
       seed: Long = 17L,
   ): Double = {
-    val times = (0 until reps).map(r => simulate(profile, n, coresPerExecutor, fidelity, seed + 31L * r).elapsedMs)
+    val times = (0 until reps).map(r => simulate(profile, n, coresPerExecutor, fidelity, repSeed(seed, r)).elapsedMs)
     meanWithoutOutliers(times)
   }
+
+  /** Seed of repetition `r` of a [[measure]] series. */
+  private def repSeed(seed: Long, r: Int): Long = seed + 31L * r
 
   /** Mean after discarding points outside ±1.5×IQR (paper §5.1). */
   def meanWithoutOutliers(xs: IndexedSeq[Double]): Double = {
@@ -122,7 +126,9 @@ object ClusterSimulator {
   }
 
   /** The paper's measured `t(n)` series for one query: outlier-discarded mean
-    * at each n of the grid.
+    * at each n of the grid, equal to [[measure]] at each n. All grid × reps
+    * runs are simulated in parallel; each n keeps `measure`'s seeds and rep
+    * order.
     */
   def actualCurve(
       profile: TaskProfile,
@@ -131,8 +137,13 @@ object ClusterSimulator {
       fidelity: Fidelity = Fidelity(),
       reps: Int = 5,
       seed: Long = 17L,
-  ): IndexedSeq[(Int, Double)] =
-    grid.iterator.map(n => n -> measure(profile, n, coresPerExecutor, fidelity, reps, seed)).toIndexedSeq
+  ): IndexedSeq[(Int, Double)] = {
+    val ns    = grid.toIndexedSeq
+    val times = Par.tabulate(ns.size * reps) { i =>
+      simulate(profile, ns(i / reps), coresPerExecutor, fidelity, repSeed(seed, i % reps)).elapsedMs
+    }
+    ns.indices.map(j => ns(j) -> meanWithoutOutliers(times.slice(j * reps, (j + 1) * reps)))
+  }
 }
 
 /** Mutable pool of simulated executors, each `coresPerExecutor` slots wide.

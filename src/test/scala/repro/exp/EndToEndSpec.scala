@@ -101,6 +101,13 @@ class EndToEndSpec extends SparkSpec {
     assert(r.rows.forall(_.rule.maxN <= 48))
   }
 
+  test("allocation rows come back in workload order") {
+    val predicted = AllocationExperiment.predictedCounts(workload, folds, repeat = 1, h = 1.05)
+    val r = AllocationExperiment.run(workload, predicted)
+    assert(r.rows.map(_.queryId) == workload.queries.map(_.query.id))
+    assert(r.rows.forall(row => row.predictedN == math.max(predicted(row.queryId), 1)))
+  }
+
   test("overheads experiment reports sub-second scoring") {
     val r = OverheadsExperiment.run(workload, Some(spark))
     assert(r.scoreMs.values.forall(ms => ms > 0.0 && ms < 1000.0))

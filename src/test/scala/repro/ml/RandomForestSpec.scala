@@ -1,6 +1,9 @@
 package repro.ml
 
+import java.nio.charset.StandardCharsets.UTF_8
 import java.nio.file.Files
+import java.security.MessageDigest
+import java.util.concurrent.{Callable, ForkJoinPool}
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -11,6 +14,55 @@ class RandomForestSpec extends AnyFunSuite {
     val x = (0 until n).map(_ => Array(r.nextDouble() * 10, r.nextDouble() * 10, r.nextDouble()))
     val y = x.map(f => Array(2.0 * f(0) + f(1), f(0) - f(1)))
     (x, y)
+  }
+
+  /** Data with many equal feature values (including -0.0 and 0.0), where
+    * the order ties are visited in decides the floating-point sums.
+    */
+  private def tiedData(n: Int, seed: Long): (IndexedSeq[Array[Double]], IndexedSeq[Array[Double]]) = {
+    val r = new Random(seed)
+    val x = (0 until n).map(_ => Array(r.nextDouble() * 10, r.nextInt(6).toDouble, Seq(-1.0, -0.0, 0.0, 1.0)(r.nextInt(4))))
+    val y = x.map(f => Array(2.0 * f(0) + f(1) + r.nextGaussian(), f(0) * (f(2) + 2), 0.1 * f(1)))
+    (x, y)
+  }
+
+  /** Every split feature, threshold bit pattern and leaf value bit pattern,
+    * tree by tree: equal strings mean node-for-node equal forests.
+    */
+  private def structure(rf: RandomForest): String = {
+    def bits(d: Double) = java.lang.Long.toHexString(java.lang.Double.doubleToRawLongBits(d))
+    def node(n: RegressionTree.Node): String = n match {
+      case RegressionTree.Leaf(v)             => v.map(bits).mkString("L(", ",", ")")
+      case RegressionTree.Split(f, thr, l, r) => s"S($f,${bits(thr)},${node(l)},${node(r)})"
+    }
+    rf.trees.map(node).mkString("\n")
+  }
+
+  private def sha256(s: String): String =
+    MessageDigest.getInstance("SHA-256").digest(s.getBytes(UTF_8)).map(b => f"${b & 0xff}%02x").mkString
+
+  private val tiedNames  = IndexedSeq("a", "b", "c")
+  private val tiedParams = RandomForest.Params(nTrees = 24, seed = 9)
+  // The forest `tiedData(300, 21)` fits under `tiedParams`, as the sequential
+  // fit with the boxed `sortBy` split search built it; it must not change.
+  private val PinnedNodes  = 8982
+  private val PinnedDigest = "60f13e86b79047553c4269c0ec694487fd154aceb9ca23df92a7bf797b854469"
+
+  test("a forest fitted on one worker thread equals the common-pool forest node for node") {
+    val (x, y) = tiedData(300, 21)
+    val common = RandomForest.fit(x, y, tiedNames, tiedParams)
+    val pool   = new ForkJoinPool(1)
+    val single =
+      try pool.submit(new Callable[RandomForest] { def call() = RandomForest.fit(x, y, tiedNames, tiedParams) }).get()
+      finally pool.shutdown()
+    assert(structure(single) == structure(common))
+  }
+
+  test("a fixed-seed forest keeps its pinned structure") {
+    val (x, y) = tiedData(300, 21)
+    val rf = RandomForest.fit(x, y, tiedNames, tiedParams)
+    assert(rf.trees.map(_.nodeCount).sum == PinnedNodes)
+    assert(sha256(structure(rf)) == PinnedDigest)
   }
 
   test("fits a smooth function with low error on training data") {

@@ -93,6 +93,25 @@ class RegressionTreeSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] { fitOn(Seq.empty, Seq.empty) }
   }
 
+  test("sortByFeature gives the order of idx.sortBy, ties in input order") {
+    val r      = new Random(11)
+    val values = Array(-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0, 7.5)
+    for (n <- Seq(0, 1, 2, 15, 16, 17, 33, 100, 1600); spread <- Seq(2, values.length)) {
+      // Bootstrap-like indices: repeats, unsorted, with many equal keys.
+      val x   = IndexedSeq.fill(n)(Array(values(r.nextInt(spread)), r.nextGaussian()))
+      val idx = Array.fill(n)(r.nextInt(n))
+      for (f <- 0 until 2)
+        assert(RegressionTree.sortByFeature(idx, x, f).sameElements(idx.sortBy(i => x(i)(f))), s"n=$n spread=$spread f=$f")
+    }
+  }
+
+  test("sortByFeature orders -0.0 before 0.0 and leaves its input untouched") {
+    val x   = IndexedSeq(Array(0.0), Array(-0.0), Array(-1.0), Array(0.0), Array(-0.0))
+    val idx = Array(0, 1, 2, 3, 4)
+    assert(RegressionTree.sortByFeature(idx, x, 0).sameElements(Array(2, 1, 4, 0, 3)))
+    assert(idx.sameElements(Array(0, 1, 2, 3, 4)))
+  }
+
   test("maxFeatures = 1 still fits (feature subsampling)") {
     val x = (1 to 20).map(i => Array(i.toDouble, (20 - i).toDouble))
     val y = (1 to 20).map(i => Array(i.toDouble))

@@ -178,6 +178,23 @@ class ClusterSimulatorSpec extends AnyFunSuite {
     assert(c.forall(_._2 > 0.0))
   }
 
+  test("actualCurve equals measure at every grid point, bit for bit") {
+    val r = new scala.util.Random(5)
+    val p = profile(
+      stage(0, (1 to 96).map(_ => 5.0 + r.nextDouble() * 40), shuffleBytes = 0L),
+      stage(1, (1 to 192).map(_ => 2.0 + r.nextDouble() * 10), parents = Seq(0), shuffleBytes = 8L << 20),
+      stage(2, (1 to 7).map(_ => 30.0 + r.nextDouble() * 5), parents = Seq(1), job = 1, shuffleBytes = 1L << 20),
+    )
+    val grid = Seq(1, 3, 8, 16, 32, 48)
+    for (reps <- Seq(1, 4, 5)) {
+      val curve = ClusterSimulator.actualCurve(p, grid, reps = reps, seed = 11L)
+      val each  = grid.map(n => n -> ClusterSimulator.measure(p, n, reps = reps, seed = 11L))
+      assert(curve.map(_._1) == grid)
+      assert(curve.map(c => java.lang.Double.doubleToRawLongBits(c._2)) ==
+        each.map(c => java.lang.Double.doubleToRawLongBits(c._2)), s"reps=$reps")
+    }
+  }
+
   test("static skyline reflects the allocation") {
     val p = profile(stage(0, Seq(10.0)))
     val r = ClusterSimulator.simulate(p, n = 7, coresPerExecutor = 4, fidelity = exact)
