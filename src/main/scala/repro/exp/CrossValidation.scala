@@ -1,6 +1,7 @@
 package repro.exp
 
 import scala.util.Random
+import repro.Par
 import repro.core.{ParameterModel, PlanFeaturizer, PpmKind}
 import repro.ml.RandomForest
 import repro.sim.SparklensEstimator
@@ -63,18 +64,23 @@ object CrossValidation {
     val byId = workload.queries.map(q => q.query.id -> q).toMap
     // Label curves are pure in the profile: one per query, shared by all folds.
     val labelCurve = byId.map { case (id, q) => id -> SparklensEstimator.curve(q.profile, fitGrid) }
-    splits(workload.queries.map(_.query.id), k, repeats, seed).map { case (r, f, trainIds, testIds) =>
-      val examples = trainIds.map { id =>
+    val folds = splits(workload.queries.map(_.query.id), k, repeats, seed)
+    val examples = folds.map { case (_, _, trainIds, _) =>
+      trainIds.map { id =>
         ParameterModel.TrainingExample(
           queryId = id,
           features = PlanFeaturizer.project(byId(id).features, featureSubset),
           curve = labelCurve(id),
         )
       }
-      val models = kinds.map { kind =>
-        kind -> ParameterModel.train(kind, examples, featureSubset, rfParams)
-      }.toMap
-      TrainedFold(r, f, trainIds, testIds, models, featureSubset)
+    }
+    // Every (fold, kind) forest in one fan-out; model j is fold j / kinds.size.
+    val models = Par.tabulate(folds.size * kinds.size) { j =>
+      ParameterModel.train(kinds(j % kinds.size), examples(j / kinds.size), featureSubset, rfParams)
+    }
+    folds.zipWithIndex.map { case ((r, f, trainIds, testIds), i) =>
+      val foldModels = kinds.indices.map(c => kinds(c) -> models(i * kinds.size + c)).toMap
+      TrainedFold(r, f, trainIds, testIds, foldModels, featureSubset)
     }
   }
 }

@@ -83,14 +83,13 @@ object RandomForest {
     // same whatever the number of cores or the scheduling.
     val rng   = new Random(params.seed)
     val seeds = Array.fill(params.nTrees)(rng.nextLong())
+    val rows  = new RegressionTree.Rows(x, y)
     val trees = Par.tabulate(params.nTrees) { t =>
       val treeRng = new Random(seeds(t))
-      val (bx, by) =
-        if (params.bootstrap) {
-          val idx = Array.fill(x.length)(treeRng.nextInt(x.length))
-          (idx.toIndexedSeq.map(x), idx.toIndexedSeq.map(y))
-        } else (x, y)
-      RegressionTree.fit(bx, by, params.tree, treeRng)
+      val sample =
+        if (params.bootstrap) Array.fill(x.length)(treeRng.nextInt(x.length))
+        else Array.range(0, x.length)
+      RegressionTree.grow(rows, sample, params.tree, treeRng)
     }.toVector // a Vector keeps the Java-serialized model byte for byte
     RandomForest(trees, featureNames, y.head.length)
   }

@@ -46,44 +46,108 @@ object RegressionTree {
       maxFeatures: Int = Int.MaxValue,
   )
 
+  /** Training rows in the layout split search reads: one array per
+    * feature, its dense rank keys (see [[denseRanks]]) and the targets
+    * flattened row by row. A forest builds this once for all its trees.
+    */
+  private[ml] final class Rows(x: IndexedSeq[Array[Double]], y: IndexedSeq[Array[Double]]) {
+    require(x.nonEmpty && x.length == y.length, s"bad input sizes: ${x.length} vs ${y.length}")
+    val size: Int      = x.length
+    val nFeatures: Int = x.head.length
+    val nOutputs: Int  = y.head.length
+    require(y.forall(_.length == nOutputs), "ragged target vectors")
+
+    val columns: Array[Array[Double]] = Array.tabulate(nFeatures)(f => x.iterator.map(_(f)).toArray)
+    val ranks: Array[Array[Int]]      = columns.map(denseRanks)
+    val targets: Array[Double]        = y.iterator.flatMap(_.iterator).toArray
+  }
+
   /** Fit a tree on `rows(i) = (features, targets)` using `rng` only for the
     * per-split feature subsample (bootstrap resampling is the forest's job).
     */
-  def fit(x: IndexedSeq[Array[Double]], y: IndexedSeq[Array[Double]], params: Params, rng: Random): Node = {
-    require(x.nonEmpty && x.length == y.length, s"bad input sizes: ${x.length} vs ${y.length}")
-    val nFeatures = x.head.length
-    val nOutputs  = y.head.length
-    require(y.forall(_.length == nOutputs), "ragged target vectors")
+  def fit(x: IndexedSeq[Array[Double]], y: IndexedSeq[Array[Double]], params: Params, rng: Random): Node =
+    grow(new Rows(x, y), Array.range(0, x.length), params, rng)
 
-    def meanOf(idx: Array[Int]): Array[Double] = {
-      val m = new Array[Double](nOutputs)
+  /** Fit a tree on the rows `sample` of `data`, in that order; a row may
+    * repeat, as in a bootstrap sample. The tree is the one [[fit]] gives on
+    * `sample.map(x)` and `sample.map(y)`.
+    *
+    * A node orders its rows by a feature's rank keys with a stable counting
+    * or insertion sort, and skips a feature that is constant on its rows.
+    * Impurities are summed over index ranges of the node's targets in that
+    * order, the same summation order as recomputing each side from scratch;
+    * only the winning split is cut into child index arrays.
+    */
+  private[ml] def grow(data: Rows, sample: Array[Int], params: Params, rng: Random): Node = {
+    val n         = sample.length
+    val nFeatures = data.nFeatures
+    val nOutputs  = data.nOutputs
+    val targets   = data.targets
+    val columns   = data.columns
+    val ranks     = data.ranks
+
+    // Scratch reused by every node: its rows ordered by the current feature
+    // and by the best feature so far, counting-sort buckets, the targets of
+    // its rows in order, and per-output sums.
+    val order   = new Array[Int](n)
+    val best    = new Array[Int](n)
+    val buckets = new Array[Int](data.size + 1)
+    val ordered = new Array[Double](n * nOutputs)
+    val sumLeft = new Array[Double](nOutputs)
+    val mean    = new Array[Double](nOutputs)
+
+    def gather(rows: Array[Int], m: Int): Unit = {
       var i = 0
-      while (i < idx.length) {
-        val t = y(idx(i)); var o = 0
-        while (o < nOutputs) { m(o) += t(o); o += 1 }
+      var p = 0
+      while (i < m) {
+        var q = rows(i) * nOutputs
+        val end = q + nOutputs
+        while (q < end) { ordered(p) = targets(q); p += 1; q += 1 }
         i += 1
       }
-      var o = 0
-      while (o < nOutputs) { m(o) /= idx.length; o += 1 }
-      m
     }
 
-    // Summed-across-outputs SSE of `idx` around its mean — the CART impurity.
-    def sse(idx: Array[Int]): Double = {
-      val m = meanOf(idx)
-      var s = 0.0; var i = 0
-      while (i < idx.length) {
-        val t = y(idx(i)); var o = 0
-        while (o < nOutputs) { val d = t(o) - m(o); s += d * d; o += 1 }
-        i += 1
+    /** Mean of rows `lo until hi` of `ordered` into `mean`. */
+    def meanOf(lo: Int, hi: Int): Unit = {
+      var o = 0
+      while (o < nOutputs) { mean(o) = 0.0; o += 1 }
+      var p = lo * nOutputs
+      while (p < hi * nOutputs) {
+        var o = 0
+        while (o < nOutputs) { mean(o) += ordered(p + o); o += 1 }
+        p += nOutputs
+      }
+      o = 0
+      while (o < nOutputs) { mean(o) /= (hi - lo); o += 1 }
+    }
+
+    // Summed-across-outputs squared error of rows `lo until hi` of `ordered`
+    // around `mean` — the CART impurity once `mean` is theirs.
+    def deviation(lo: Int, hi: Int): Double = {
+      var s = 0.0
+      var p = lo * nOutputs
+      while (p < hi * nOutputs) {
+        var o = 0
+        while (o < nOutputs) { val d = ordered(p + o) - mean(o); s += d * d; o += 1 }
+        p += nOutputs
       }
       s
     }
 
+    def sse(lo: Int, hi: Int): Double = { meanOf(lo, hi); deviation(lo, hi) }
+
+    def leaf(idx: Array[Int]): Leaf = {
+      gather(idx, idx.length)
+      meanOf(0, idx.length)
+      Leaf(mean.clone())
+    }
+
     def build(idx: Array[Int], depth: Int): Node = {
-      if (depth >= params.maxDepth || idx.length < params.minSamplesSplit) return Leaf(meanOf(idx))
-      val parentSse = sse(idx)
-      if (parentSse <= 1e-12) return Leaf(meanOf(idx))
+      val m = idx.length
+      if (depth >= params.maxDepth || m < params.minSamplesSplit) return leaf(idx)
+      gather(idx, m)
+      val parentSse = sse(0, m)
+      if (parentSse <= 1e-12) return leaf(idx)
 
       val nCand = math.min(params.maxFeatures, nFeatures)
       val candidates =
@@ -93,90 +157,111 @@ object RegressionTree {
       var bestGain = 0.0
       var bestFeature = -1
       var bestThreshold = 0.0
-      var bestLeft: Array[Int] = null
-      var bestRight: Array[Int] = null
+      var bestCut = 0
 
-      for (f <- candidates) {
-        val sorted = sortByFeature(idx, x, f)
-        // Candidate thresholds: midpoints between consecutive distinct values.
-        var i = 0
-        while (i < sorted.length - 1) {
-          val v0 = x(sorted(i))(f); val v1 = x(sorted(i + 1))(f)
-          if (v0 < v1) {
-            val thr   = (v0 + v1) / 2.0
-            val left  = sorted.take(i + 1)
-            val right = sorted.drop(i + 1)
-            if (left.length >= params.minSamplesLeaf && right.length >= params.minSamplesLeaf) {
-              val gain = parentSse - sse(left) - sse(right)
+      var c = 0
+      while (c < candidates.length) {
+        val f = candidates(c)
+        if (orderByRank(idx, ranks(f), buckets, order)) {
+          gather(order, m)
+          val col = columns(f)
+          var improved = false
+          var o = 0
+          while (o < nOutputs) { sumLeft(o) = 0.0; o += 1 }
+          // Candidate thresholds: midpoints between consecutive distinct values.
+          var i = 0
+          while (i < m - 1) {
+            o = 0
+            while (o < nOutputs) { sumLeft(o) += ordered(i * nOutputs + o); o += 1 }
+            val v0 = col(order(i)); val v1 = col(order(i + 1))
+            val cut = i + 1
+            if (v0 < v1 && cut >= params.minSamplesLeaf && m - cut >= params.minSamplesLeaf) {
+              o = 0
+              while (o < nOutputs) { mean(o) = sumLeft(o) / cut; o += 1 }
+              val sseLeft = deviation(0, cut)
+              val gain    = parentSse - sseLeft - sse(cut, m)
               if (gain > bestGain + 1e-15) {
-                bestGain = gain; bestFeature = f; bestThreshold = thr
-                bestLeft = left; bestRight = right
+                bestGain = gain; bestFeature = f; bestThreshold = (v0 + v1) / 2.0; bestCut = cut
+                improved = true
               }
             }
+            i += 1
           }
-          i += 1
+          if (improved) System.arraycopy(order, 0, best, 0, m)
         }
+        c += 1
       }
 
-      if (bestFeature < 0) Leaf(meanOf(idx))
-      else Split(bestFeature, bestThreshold, build(bestLeft, depth + 1), build(bestRight, depth + 1))
+      if (bestFeature < 0) leaf(idx)
+      else {
+        val left  = java.util.Arrays.copyOfRange(best, 0, bestCut)
+        val right = java.util.Arrays.copyOfRange(best, bestCut, m)
+        Split(bestFeature, bestThreshold, build(left, depth + 1), build(right, depth + 1))
+      }
     }
 
     // Depth is counted in node levels: a maxDepth of 1 yields a single leaf.
-    build(x.indices.toArray, depth = 1)
+    build(sample, depth = 1)
+  }
+
+  /** Dense rank of each value of `col` under `java.lang.Double.compare`:
+    * equal values share a key and `-0.0` ranks below `0.0`.
+    */
+  private[ml] def denseRanks(col: Array[Double]): Array[Int] = {
+    val distinct = col.clone()
+    java.util.Arrays.sort(distinct)
+    var k = 0
+    var i = 0
+    while (i < distinct.length) {
+      if (k == 0 || java.lang.Double.compare(distinct(k - 1), distinct(i)) != 0) { distinct(k) = distinct(i); k += 1 }
+      i += 1
+    }
+    col.map(v => java.util.Arrays.binarySearch(distinct, 0, k, v))
+  }
+
+  /** Writes `idx` ordered by `rank`, ties kept in input order, to
+    * `out(0 until idx.length)` and returns true; returns false and leaves
+    * `out` alone when all of `idx` share one key. A stable counting sort
+    * over the key range, or an insertion sort when the range is wide for
+    * this few rows. `buckets` needs one more entry than the key range.
+    */
+  private[ml] def orderByRank(idx: Array[Int], rank: Array[Int], buckets: Array[Int], out: Array[Int]): Boolean = {
+    val m = idx.length
+    var lo = Int.MaxValue
+    var hi = Int.MinValue
+    var i = 0
+    while (i < m) { val k = rank(idx(i)); if (k < lo) lo = k; if (k > hi) hi = k; i += 1 }
+    if (lo >= hi) return false
+    val range = hi - lo + 1
+    if (range < m.toLong * m / 4) {
+      java.util.Arrays.fill(buckets, 0, range + 1, 0)
+      i = 0
+      while (i < m) { buckets(rank(idx(i)) - lo + 1) += 1; i += 1 }
+      var b = 1
+      while (b < range) { buckets(b) += buckets(b - 1); b += 1 }
+      i = 0
+      while (i < m) { val k = rank(idx(i)) - lo; out(buckets(k)) = idx(i); buckets(k) += 1; i += 1 }
+    } else {
+      System.arraycopy(idx, 0, out, 0, m)
+      i = 1
+      while (i < m) {
+        val id = out(i); val k = rank(id)
+        var j = i - 1
+        while (j >= 0 && rank(out(j)) > k) { out(j + 1) = out(j); j -= 1 }
+        out(j + 1) = id
+        i += 1
+      }
+    }
+    true
   }
 
   /** `idx` ordered by feature `f`, ties kept in input order: the order
-    * `idx.sortBy(i => x(i)(f))` gives, without boxing. The keys are copied
-    * into a primitive array and compared with `java.lang.Double.compare`,
-    * like Scala's default `Ordering[Double]`.
+    * `idx.sortBy(i => x(i)(f))` gives, without boxing, and the order [[fit]]
+    * gives a node's rows.
     */
   private[ml] def sortByFeature(idx: Array[Int], x: IndexedSeq[Array[Double]], f: Int): Array[Int] = {
-    val n    = idx.length
-    val keys = new Array[Double](n)
-    var i = 0
-    while (i < n) { keys(i) = x(idx(i))(f); i += 1 }
-    val ids = idx.clone()
-    mergeSort(keys, ids, new Array[Double](n), new Array[Int](n), 0, n)
-    ids
+    val out = idx.clone()
+    orderByRank(idx, denseRanks(Array.tabulate(x.length)(i => x(i)(f))), new Array[Int](x.length + 1), out)
+    out
   }
-
-  /** Runs up to this length are insertion-sorted. */
-  private val InsertionRun = 16
-
-  /** Stable merge sort of `keys(lo until hi)`, moving `ids` along; `tk`/`tv`
-    * are scratch buffers of the same length.
-    */
-  private def mergeSort(keys: Array[Double], ids: Array[Int], tk: Array[Double], tv: Array[Int], lo: Int, hi: Int): Unit =
-    if (hi - lo <= InsertionRun) {
-      var i = lo + 1
-      while (i < hi) {
-        val k = keys(i); val id = ids(i)
-        var j = i - 1
-        while (j >= lo && java.lang.Double.compare(keys(j), k) > 0) {
-          keys(j + 1) = keys(j); ids(j + 1) = ids(j); j -= 1
-        }
-        keys(j + 1) = k; ids(j + 1) = id
-        i += 1
-      }
-    } else {
-      val mid = (lo + hi) >>> 1
-      mergeSort(keys, ids, tk, tv, lo, mid)
-      mergeSort(keys, ids, tk, tv, mid, hi)
-      // Skip the merge when the halves are already in order.
-      if (java.lang.Double.compare(keys(mid - 1), keys(mid)) > 0) {
-        System.arraycopy(keys, lo, tk, lo, hi - lo)
-        System.arraycopy(ids, lo, tv, lo, hi - lo)
-        var a = lo; var b = mid; var o = lo
-        while (o < hi) {
-          // Ties take the left half first, which keeps the sort stable.
-          if (b >= hi || (a < mid && java.lang.Double.compare(tk(a), tk(b)) <= 0)) {
-            keys(o) = tk(a); ids(o) = tv(a); a += 1
-          } else {
-            keys(o) = tk(b); ids(o) = tv(b); b += 1
-          }
-          o += 1
-        }
-      }
-    }
 }

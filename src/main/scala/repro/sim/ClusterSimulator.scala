@@ -149,6 +149,11 @@ object ClusterSimulator {
 /** Mutable pool of simulated executors, each `coresPerExecutor` slots wide.
   * Executors may arrive mid-run (`arrivalMs`) and be removed when idle; the
   * pool records allocation deltas for skyline construction.
+  *
+  * A min-tree over the slot free times, slots ordered by executor then
+  * slot, finds a task's slot in O(log slots); a removed executor's slots
+  * hold +∞. A slot is never free before its executor arrives, since task
+  * costs are not negative.
   */
 final class ExecutorPool(val coresPerExecutor: Int) {
 
@@ -160,16 +165,49 @@ final class ExecutorPool(val coresPerExecutor: Int) {
   }
 
   private val executors = mutable.ArrayBuffer.empty[Executor]
+  private var liveCount = 0
+
+  /** Leaves `capacity until 2 * capacity` are the slots; node `i` holds the
+    * minimum of nodes `2i` and `2i + 1`.
+    */
+  private var capacity = 64
+  private var tree     = Array.fill(2 * capacity)(Double.PositiveInfinity)
+
+  private def setSlot(slot: Int, freeAtMs: Double): Unit = {
+    var i = capacity + slot
+    tree(i) = freeAtMs
+    i >>>= 1
+    while (i >= 1) { tree(i) = math.min(tree(2 * i), tree(2 * i + 1)); i >>>= 1 }
+  }
+
+  /** Double the leaves until `slots` fit, keeping the existing slots. */
+  private def ensureCapacity(slots: Int): Unit = if (slots > capacity) {
+    var cap = capacity
+    while (cap < slots) cap *= 2
+    val grown = Array.fill(2 * cap)(Double.PositiveInfinity)
+    System.arraycopy(tree, capacity, grown, cap, capacity)
+    var i = cap - 1
+    while (i >= 1) { grown(i) = math.min(grown(2 * i), grown(2 * i + 1)); i -= 1 }
+    capacity = cap
+    tree = grown
+  }
 
   def addExecutor(arrivalMs: Double): Executor = {
     val e = new Executor(executors.length, arrivalMs)
     executors += e
+    liveCount += 1
+    ensureCapacity(executors.length * coresPerExecutor)
+    var s = 0
+    while (s < coresPerExecutor) { setSlot(e.id * coresPerExecutor + s, arrivalMs); s += 1 }
     e
   }
 
   def removeExecutor(e: Executor, atMs: Double): Unit = {
     require(e.removedAt.isInfinity, s"executor ${e.id} already removed")
     e.removedAt = atMs
+    liveCount -= 1
+    var s = 0
+    while (s < coresPerExecutor) { setSlot(e.id * coresPerExecutor + s, Double.PositiveInfinity); s += 1 }
   }
 
   def live: Seq[Executor] = executors.filter(_.removedAt.isInfinity).toSeq
@@ -180,26 +218,25 @@ final class ExecutorPool(val coresPerExecutor: Int) {
   def executorsVisibleBy(tMs: Double): Int =
     executors.count(e => e.arrivalMs <= tMs && e.removedAt.isInfinity)
 
-  def size: Int = executors.count(_.removedAt.isInfinity)
+  def size: Int = liveCount
 
   /** Greedily place one task of length `costMs`, ready at `readyMs`, on the
-    * slot that can finish it earliest; returns the finish time.
+    * slot that can finish it earliest; returns the finish time. Ties go to
+    * the first slot in executor-then-slot order: the leftmost slot that can
+    * start at `readyMs` if there is one, else the leftmost at the minimum.
     */
   def scheduleTask(readyMs: Double, costMs: Double): Double = {
-    require(executors.exists(_.removedAt.isInfinity), "no executors in pool")
-    var bestExec: Executor = null
-    var bestSlot = -1
-    var bestStart = Double.PositiveInfinity
-    for (e <- executors if e.removedAt.isInfinity) {
-      var s = 0
-      while (s < coresPerExecutor) {
-        val start = math.max(math.max(readyMs, e.arrivalMs), e.slotFreeAt(s))
-        if (start < bestStart) { bestStart = start; bestExec = e; bestSlot = s }
-        s += 1
-      }
-    }
-    bestExec.slotFreeAt(bestSlot) = bestStart + costMs
-    bestStart + costMs
+    require(liveCount > 0, "no executors in pool")
+    val bound = math.max(readyMs, tree(1))
+    var i = 1
+    while (i < capacity) i = if (tree(2 * i) <= bound) 2 * i else 2 * i + 1
+    val slot  = i - capacity
+    val e     = executors(slot / coresPerExecutor)
+    val s     = slot % coresPerExecutor
+    val start = math.max(math.max(readyMs, e.arrivalMs), e.slotFreeAt(s))
+    e.slotFreeAt(s) = start + costMs
+    setSlot(slot, start + costMs)
+    start + costMs
   }
 
   /** Build the skyline from executor lifetimes, clamped to the query window

@@ -141,12 +141,18 @@ object DynamicAllocation {
       val stageMb = (stage.shuffleReadBytes + stage.inputBytes).toDouble / (1024.0 * 1024.0)
       val spill   = ClusterSimulator.spillFactor(stageMb, nExec, fidelity)
 
+      // Longest task first: an ascending primitive sort read backwards
+      // (durations are never NaN, so this is the order of `sortBy(-_)`).
+      val durations = stage.taskDurationsMs.toArray
+      java.util.Arrays.sort(durations)
       var stageEnd = ready
-      for (dur <- stage.taskDurationsMs.sortBy(-_)) {
+      var t = durations.length - 1
+      while (t >= 0) {
         val noise = math.exp(rng.nextGaussian() * fidelity.noiseSigma - fidelity.noiseSigma * fidelity.noiseSigma / 2)
-        val cost  = dur * noise * ecPen * spill + fidelity.taskLaunchOverheadMs + shuffleExtraMs
+        val cost  = durations(t) * noise * ecPen * spill + fidelity.taskLaunchOverheadMs + shuffleExtraMs
         val end   = pool.scheduleTask(ready, cost)
         stageEnd = math.max(stageEnd, end)
+        t -= 1
       }
       finish(stage.stageId) = stageEnd
       jobEndSoFar = math.max(jobEndSoFar, stageEnd)

@@ -36,10 +36,20 @@ object TpcdsLite {
 
   private def n(base: Long, sf: Double): Long = math.max(2L, (base * sf).toLong)
 
+  /** Partitions of every generator's id range. `rand(seed)` is seeded per
+    * partition, so the rows depend on this count; it is fixed, not Spark's
+    * core-dependent default parallelism, so every host generates the same
+    * data (4 is the count the recorded numbers were generated with).
+    */
+  private val GeneratorPartitions = 4
+
+  private def rows(spark: SparkSession, start: Long, end: Long): DataFrame =
+    spark.range(start, end, 1, GeneratorPartitions).toDF()
+
   def storeSales(spark: SparkSession, sf: Double, seed: Long = 100): DataFrame = {
     val nItem = n(NItem, sf); val nCust = n(NCustomer, sf)
     val nStore = n(NStore, sf * 10); val nPromo = n(NPromotion, sf)
-    spark.range(n(NStoreSales, sf)).select(
+    rows(spark, 0, n(NStoreSales, sf)).select(
       (rand(seed)     * NDateDim + 1).cast(LongType)   as "ss_sold_date_sk",
       (rand(seed + 1) * nItem + 1).cast(LongType)      as "ss_item_sk",
       (rand(seed + 2) * nCust + 1).cast(LongType)      as "ss_customer_sk",
@@ -57,7 +67,7 @@ object TpcdsLite {
 
   def webSales(spark: SparkSession, sf: Double, seed: Long = 200): DataFrame = {
     val nItem = n(NItem, sf); val nCust = n(NCustomer, sf)
-    spark.range(n(NWebSales, sf)).select(
+    rows(spark, 0, n(NWebSales, sf)).select(
       (rand(seed)     * NDateDim + 1).cast(LongType) as "ws_sold_date_sk",
       (rand(seed + 1) * nItem + 1).cast(LongType)    as "ws_item_sk",
       (rand(seed + 2) * nCust + 1).cast(LongType)    as "ws_bill_customer_sk",
@@ -70,7 +80,7 @@ object TpcdsLite {
 
   def item(spark: SparkSession, sf: Double, seed: Long = 300): DataFrame = {
     import spark.implicits._
-    spark.range(1, n(NItem, sf) + 1).toDF("i_item_sk").select(
+    rows(spark, 1, n(NItem, sf) + 1).toDF("i_item_sk").select(
       $"i_item_sk",
       concat(lit("Brand#"), (rand(seed) * 50 + 1).cast(IntegerType))  as "i_brand",
       element_at(array(lit("Books"), lit("Home"), lit("Electronics"), lit("Jewelry"),
@@ -86,7 +96,7 @@ object TpcdsLite {
 
   def dateDim(spark: SparkSession): DataFrame = {
     import spark.implicits._
-    spark.range(1, NDateDim + 1).toDF("d_date_sk").select(
+    rows(spark, 1, NDateDim + 1).toDF("d_date_sk").select(
       $"d_date_sk",
       date_format(date_add(lit("1992-01-01").cast(DateType), ($"d_date_sk" - 1).cast("int")),
                   "yyyy-MM-dd")                                                       as "d_date",
@@ -102,7 +112,7 @@ object TpcdsLite {
   def customer(spark: SparkSession, sf: Double, seed: Long = 400): DataFrame = {
     import spark.implicits._
     val nAddr = n(NAddress, sf)
-    spark.range(1, n(NCustomer, sf) + 1).toDF("c_customer_sk").select(
+    rows(spark, 1, n(NCustomer, sf) + 1).toDF("c_customer_sk").select(
       $"c_customer_sk",
       (rand(seed) * nAddr + 1).cast(LongType)          as "c_current_addr_sk",
       (rand(seed + 1) * 75 + 1924).cast(IntegerType)   as "c_birth_year",
@@ -113,7 +123,7 @@ object TpcdsLite {
 
   def customerAddress(spark: SparkSession, sf: Double, seed: Long = 500): DataFrame = {
     import spark.implicits._
-    spark.range(1, n(NAddress, sf) + 1).toDF("ca_address_sk").select(
+    rows(spark, 1, n(NAddress, sf) + 1).toDF("ca_address_sk").select(
       $"ca_address_sk",
       element_at(array(lit("CA"), lit("TX"), lit("NY"), lit("WA"), lit("GA"),
                        lit("IL"), lit("OH"), lit("MI"), lit("NC"), lit("FL")),
@@ -124,7 +134,7 @@ object TpcdsLite {
 
   def store(spark: SparkSession, sf: Double, seed: Long = 600): DataFrame = {
     import spark.implicits._
-    spark.range(1, n(NStore, sf * 10) + 1).toDF("s_store_sk").select(
+    rows(spark, 1, n(NStore, sf * 10) + 1).toDF("s_store_sk").select(
       $"s_store_sk",
       element_at(array(lit("CA"), lit("TX"), lit("NY"), lit("WA"), lit("GA")),
                  (rand(seed) * 5 + 1).cast("int"))     as "s_state",
@@ -134,7 +144,7 @@ object TpcdsLite {
 
   def promotion(spark: SparkSession, sf: Double, seed: Long = 700): DataFrame = {
     import spark.implicits._
-    spark.range(1, n(NPromotion, sf) + 1).toDF("p_promo_sk").select(
+    rows(spark, 1, n(NPromotion, sf) + 1).toDF("p_promo_sk").select(
       $"p_promo_sk",
       element_at(array(lit("Y"), lit("N")), (rand(seed) * 2 + 1).cast("int"))     as "p_channel_email",
       element_at(array(lit("Y"), lit("N")), (rand(seed + 1) * 2 + 1).cast("int")) as "p_channel_tv",

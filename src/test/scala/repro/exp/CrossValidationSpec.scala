@@ -1,6 +1,13 @@
 package repro.exp
 
+import java.io.{ByteArrayOutputStream, ObjectOutputStream}
+import java.util.concurrent.{Callable, ForkJoinPool}
+import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{ParameterModel, PlanFeaturizer, PpmKind}
+import repro.ml.RandomForest
+import repro.sim.{SparklensEstimator, StageProfile, TaskProfile}
+import repro.tpcds.Query
 
 class CrossValidationSpec extends AnyFunSuite {
   private val ids = (1 to 20).map(i => s"q$i")
@@ -41,6 +48,48 @@ class CrossValidationSpec extends AnyFunSuite {
     val r0 = sp.filter(_._1 == 0).map(_._4)
     val r1 = sp.filter(_._1 == 1).map(_._4)
     assert(r0 != r1)
+  }
+
+  /** 20 queries with random two-stage profiles and tied integer features. */
+  private lazy val synthetic: Workload = {
+    val r = new Random(4)
+    Workload("SYN", 0.0, (1 to 20).map { i =>
+      val stages = IndexedSeq(
+        StageProfile(0, 0, Nil, IndexedSeq.fill(8 + r.nextInt(90))(5.0 + r.nextDouble() * 50), 0L, 1L << 20),
+        StageProfile(1, 0, Seq(0), IndexedSeq.fill(1 + r.nextInt(40))(2.0 + r.nextDouble() * 20), 1L << 20, 0L))
+      QueryData(Query(s"q$i", s"t$i", "", Nil), TaskProfile(s"q$i", stages, 0.0, 50.0 + r.nextDouble() * 100),
+        Array.fill(PlanFeaturizer.featureNames.size)(r.nextInt(5).toDouble), IndexedSeq.empty, IndexedSeq.empty)
+    })
+  }
+
+  private def bytes(m: ParameterModel): Seq[Byte] = {
+    val bos = new ByteArrayOutputStream()
+    val oos = new ObjectOutputStream(bos)
+    oos.writeObject(m); oos.close()
+    bos.toByteArray.toSeq
+  }
+
+  test("trainFolds trains each fold's own models, the same on one worker thread as on the common pool") {
+    val params = RandomForest.Params(nTrees = 8)
+    def train() = CrossValidation.trainFolds(synthetic, PpmKind.all, k = 5, repeats = 2, seed = 3, rfParams = params)
+    val common = train()
+    val pool   = new ForkJoinPool(1)
+    val single =
+      try pool.submit(new Callable[IndexedSeq[CrossValidation.TrainedFold]] { def call() = train() }).get()
+      finally pool.shutdown()
+    val expectedSplits = CrossValidation.splits(synthetic.queries.map(_.query.id), 5, 2, 3)
+    assert(common.map(f => (f.repeat, f.fold, f.trainIds, f.testIds)) == expectedSplits)
+    assert(single.map(f => (f.repeat, f.fold, f.trainIds, f.testIds)) == expectedSplits)
+    for ((c, s) <- common.zip(single); kind <- PpmKind.all) {
+      // Trained directly, one fold and kind at a time.
+      val examples = c.trainIds.map { id =>
+        val q = synthetic.byId(id)
+        ParameterModel.TrainingExample(id, q.features, SparklensEstimator.curve(q.profile, WorkloadRunner.FitGrid))
+      }
+      val direct = bytes(ParameterModel.train(kind, examples, PlanFeaturizer.featureNames, params))
+      assert(bytes(c.models(kind)) == direct, s"repeat ${c.repeat} fold ${c.fold} $kind")
+      assert(bytes(s.models(kind)) == direct, s"repeat ${c.repeat} fold ${c.fold} $kind")
+    }
   }
 
   test("too few queries for k folds is rejected") {

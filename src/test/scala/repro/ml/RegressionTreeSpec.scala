@@ -112,6 +112,29 @@ class RegressionTreeSpec extends AnyFunSuite {
     assert(idx.sameElements(Array(0, 1, 2, 3, 4)))
   }
 
+  test("rank keys of the whole column order any rows of it like idx.sortBy") {
+    val r = new Random(17)
+    for (n <- Seq(1, 2, 16, 17, 82, 300); spread <- Seq(1, 3, 50)) {
+      // Few distinct values make long tie runs; both zeros are among them.
+      val values = IndexedSeq(-0.0, 0.0) ++ IndexedSeq.fill(spread)(math.floor(r.nextGaussian() * 4) / 2)
+      val col    = Array.fill(n)(values(r.nextInt(values.size)))
+      val x      = col.map(v => Array(v)).toIndexedSeq
+      val rank   = RegressionTree.denseRanks(col)
+      for (draw <- 0 until 6) {
+        // Rows in random order, as a node holds them: distinct, or repeating
+        // as in a bootstrap sample.
+        val size = 1 + r.nextInt(n)
+        val idx =
+          if (draw % 2 == 0) r.shuffle((0 until n).toList).take(size).toArray
+          else Array.fill(size)(r.nextInt(n))
+        val out = idx.clone()
+        val split = RegressionTree.orderByRank(idx, rank, new Array[Int](n + 1), out)
+        assert(out.sameElements(idx.sortBy(i => x(i)(0))), s"n=$n spread=$spread")
+        assert(split == idx.map(i => x(i)(0)).distinctBy(java.lang.Double.doubleToLongBits).length > 1)
+      }
+    }
+  }
+
   test("maxFeatures = 1 still fits (feature subsampling)") {
     val x = (1 to 20).map(i => Array(i.toDouble, (20 - i).toDouble))
     val y = (1 to 20).map(i => Array(i.toDouble))

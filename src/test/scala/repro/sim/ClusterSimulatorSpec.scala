@@ -1,5 +1,7 @@
 package repro.sim
 
+import java.lang.Double.doubleToRawLongBits
+import scala.collection.mutable
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Simulator correctness on hand-built profiles where the exact schedule is
@@ -193,6 +195,75 @@ class ClusterSimulatorSpec extends AnyFunSuite {
       assert(curve.map(c => java.lang.Double.doubleToRawLongBits(c._2)) ==
         each.map(c => java.lang.Double.doubleToRawLongBits(c._2)), s"reps=$reps")
     }
+  }
+
+  /** The slot search [[ExecutorPool.scheduleTask]] replaced: a scan of every
+    * live executor's slots for the earliest start, the first minimum
+    * winning. Kept as the reference the pool must match.
+    */
+  private final class ScanPool(cores: Int) {
+    val arrival = mutable.ArrayBuffer.empty[Double]
+    val freeAt  = mutable.ArrayBuffer.empty[Array[Double]]
+    val removed = mutable.ArrayBuffer.empty[Boolean]
+
+    def add(arrivalMs: Double): Unit = { arrival += arrivalMs; freeAt += Array.fill(cores)(arrivalMs); removed += false }
+
+    /** Place one task; returns its executor, slot and finish time. */
+    def schedule(readyMs: Double, costMs: Double): (Int, Int, Double) = {
+      var bestExec = -1
+      var bestSlot = -1
+      var bestStart = Double.PositiveInfinity
+      for (e <- arrival.indices if !removed(e)) {
+        var s = 0
+        while (s < cores) {
+          val start = math.max(math.max(readyMs, arrival(e)), freeAt(e)(s))
+          if (start < bestStart) { bestStart = start; bestExec = e; bestSlot = s }
+          s += 1
+        }
+      }
+      freeAt(bestExec)(bestSlot) = bestStart + costMs
+      (bestExec, bestSlot, bestStart + costMs)
+    }
+  }
+
+  test("scheduleTask picks the linear scan's slot and finish time, bit for bit") {
+    val r = new scala.util.Random(13)
+    var maxSlots = 0
+    for (trial <- 0 until 200) {
+      val cores = Seq(1, 2, 4, 8)(trial % 4)
+      val pool  = new ExecutorPool(cores)
+      val ref   = new ScanPool(cores)
+      val execs = mutable.ArrayBuffer.empty[pool.Executor]
+      def add(arrivalMs: Double): Unit = { execs += pool.addExecutor(arrivalMs); ref.add(arrivalMs) }
+      (0 until 1 + r.nextInt(6)).foreach(_ => add(0.0))
+      // Every fifth pool is static; the others add executors, some arriving
+      // later (the rule's inbound requests), and remove live ones.
+      val static = trial % 5 == 0
+      var now = 0.0
+      for (step <- 0 until 400) {
+        val op = r.nextInt(20)
+        if (!static && op < 2) add(now + r.nextInt(4) * 5.0)
+        else if (!static && op == 2 && pool.size > 1) {
+          val live = execs.indices.filter(e => !ref.removed(e))
+          val e    = live(r.nextInt(live.size))
+          pool.removeExecutor(execs(e), now)
+          ref.removed(e) = true
+        } else {
+          // Times on a 2.5 ms grid, so ties at `ready` and between slots are common.
+          now += r.nextInt(3) * 2.5
+          val ready  = now - r.nextInt(3) * 2.5
+          val cost   = (1 + r.nextInt(8)) * 2.5
+          val finish = pool.scheduleTask(ready, cost)
+          val (e, s, expected) = ref.schedule(ready, cost)
+          assert(doubleToRawLongBits(finish) == doubleToRawLongBits(expected), s"trial $trial step $step")
+          assert(doubleToRawLongBits(execs(e).slotFreeAt(s)) == doubleToRawLongBits(expected), s"trial $trial step $step")
+          assert(execs.indices.forall(i => execs(i).slotFreeAt.sameElements(ref.freeAt(i))), s"trial $trial step $step")
+        }
+        maxSlots = math.max(maxSlots, execs.size * cores)
+      }
+      assert(pool.size == ref.removed.count(!_))
+    }
+    assert(maxSlots > 256, "no pool grew large")
   }
 
   test("static skyline reflects the allocation") {

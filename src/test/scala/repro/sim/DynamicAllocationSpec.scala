@@ -133,6 +133,58 @@ class DynamicAllocationSpec extends AnyFunSuite {
       s"DA=${da.skyline.aucExecutorSeconds} SA=${sa.skyline.aucExecutorSeconds}")
   }
 
+  /** A fixed multi-stage profile with shuffle and scan bytes, driver time,
+    * three jobs and a 2.5 s serial stage, so idle removal and re-allocation
+    * both happen under the reactive policies.
+    */
+  private val pinned = {
+    val r = new scala.util.Random(23)
+    def durations(n: Int, lo: Double, span: Double) = (1 to n).map(_ => lo + r.nextDouble() * span)
+    TaskProfile("pinned", IndexedSeq(
+      StageProfile(0, 0, Nil, durations(150, 20, 180), 0L, 6L << 20),
+      StageProfile(1, 0, Nil, durations(40, 10, 60), 0L, 1L << 20),
+      StageProfile(2, 0, Seq(0, 1), durations(64, 30, 120), 12L << 20, 0L),
+      StageProfile(4, 1, Seq(2), durations(9, 100, 50), 2L << 20, 0L),
+      StageProfile(5, 1, Seq(4), durations(1, 2500, 0), 1L << 20, 0L),
+      StageProfile(7, 2, Seq(5, 3), durations(96, 5, 40), 4L << 20, 0L),
+    ), wallMs = 0.0, driverMs = 120.0)
+  }
+
+  private def bits(d: Double): String = java.lang.Long.toHexString(java.lang.Double.doubleToRawLongBits(d))
+
+  /** Elapsed time and every skyline delta, as exact bit patterns. */
+  private def runBits(r: ClusterSimulator.RunResult): String =
+    (bits(r.elapsedMs) +: bits(r.skyline.endMs) +: r.skyline.deltas.map { case (t, d) => s"${bits(t)}:$d" }).mkString(",")
+
+  private def sha256(s: String): String =
+    java.security.MessageDigest.getInstance("SHA-256")
+      .digest(s.getBytes(java.nio.charset.StandardCharsets.UTF_8)).map(b => f"${b & 0xff}%02x").mkString
+
+  // Elapsed-time bits, skyline delta count and SHA-256 of `runBits` of each
+  // policy on `pinned` with the default (noisy) fidelity at seed 3, as the
+  // linear-scan scheduler computed them; they must not change.
+  private val PinnedRuns = Seq(
+    Static(5) ->
+      ("40b1363864b7114a", 10, "cd3e3f527a323c2ae85029bffe1182d12f2cc3bf93b9611d7420ca45d87a55b8"),
+    Dynamic() ->
+      ("40ab3a944978d550", 122, "ee7156ac9b81fc3af4459210a3873f32f6dcd1ce289923831a2f594fa3ad47e9"),
+    PredictiveRule(initial = 2, target = 20) ->
+      ("40b11cb806d99a75", 40, "3c626c8a01c3235004a557bdd69437b8972105d08a2515882ade7f7054e7cef3"),
+  )
+
+  test("simulate keeps its pinned elapsed times and skylines, with noise on") {
+    for ((policy, (elapsed, nDeltas, digest)) <- PinnedRuns) {
+      val r = simulate(pinned, policy, seed = 3L)
+      assert((bits(r.elapsedMs), r.skyline.deltas.size, sha256(runBits(r))) == ((elapsed, nDeltas, digest)), s"$policy")
+    }
+  }
+
+  test("actualCurve keeps its pinned bits") {
+    val curve = ClusterSimulator.actualCurve(pinned, Seq(1, 3, 8, 16, 32, 48), seed = 5L)
+    assert(curve.map(c => s"${c._1}:${bits(c._2)}").mkString(",") ==
+      "1:40d013e6d5a8f42a,3:40b82c6038ff0c4a,8:40ae455327526232,16:40ab0d720f00bc0d,32:40aa36f6c148b7b3,48:40aa37ab89d40f73")
+  }
+
   test("static policy rejects n < 1") {
     intercept[IllegalArgumentException] { simulate(wide, Static(0), fidelity = exact) }
   }

@@ -43,6 +43,13 @@ class TpcdsLiteSpec extends SparkSpec {
     assert(a == b)
   }
 
+  test("generated rows do not depend on the core count") {
+    // The sum the generator gives with its 4 fixed partitions; Spark's
+    // default parallelism (local[2] vs local[4]) must not move it.
+    val s = TpcdsLite.storeSales(spark, 0.01).selectExpr("sum(ss_item_sk) AS s").head().getLong(0)
+    assert(s == 2611999L)
+  }
+
   test("monetary columns have exactly two decimals") {
     val bad = TpcdsLite.storeSales(spark, sf)
       .selectExpr("sum(CASE WHEN ss_sales_price != round(ss_sales_price, 2) THEN 1 ELSE 0 END) AS bad")
