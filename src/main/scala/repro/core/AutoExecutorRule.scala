@@ -26,7 +26,7 @@ import org.apache.spark.sql.catalyst.rules.Rule
   *
   * Configuration (all runtime-settable):
   *   - `spark.repro.autoexecutor.enabled`   — gate, default false
-  *   - `spark.repro.autoexecutor.modelPath` — serialized [[ParameterModel]]
+  *   - `spark.repro.autoexecutor.modelPath` — a saved [[ParameterModel]] file
   *   - `spark.repro.autoexecutor.strategy`  — `elbow` or `slowdown:<H>`
   *   - `spark.repro.autoexecutor.maxExecutors` — candidate grid upper bound
   */
@@ -82,13 +82,18 @@ object AutoExecutorRule {
     */
   private val cache = new ConcurrentHashMap[Path, (ParameterModel, Double)]()
 
-  /** Returns (model, load time in ms — 0 on cache hits). */
+  /** Returns (model, load time in ms — 0 on cache hits). A model trained on
+    * another feature layout than [[PlanFeaturizer.featureNames]] is rejected:
+    * it would score this featurizer's vectors silently wrong.
+    */
   def cachedModel(path: Path): (ParameterModel, Double) = {
     val cached = cache.get(path)
     if (cached != null) (cached._1, 0.0)
     else {
       val t0    = System.nanoTime()
       val model = ParameterModel.load(path)
+      require(model.forest.featureNames == PlanFeaturizer.featureNames,
+        s"$path: model features ${model.forest.featureNames.mkString(",")} differ from PlanFeaturizer.featureNames")
       val ms    = (System.nanoTime() - t0) / 1e6
       cache.putIfAbsent(path, (model, ms))
       (model, ms)

@@ -26,7 +26,7 @@ object CrossValidation {
   ) {
     /** Predicted `t(n)` curve for a query (test or train) at grid `ns`. */
     def predict(kind: PpmKind, q: QueryData, ns: Seq[Int]): IndexedSeq[(Int, Double)] =
-      models(kind).predictCurve(PlanFeaturizer.project(q.features, featureSubset), ns)
+      models(kind).predictPpm(PlanFeaturizer.project(q.features, featureSubset)).curve(ns)
   }
 
   /** Deterministic fold assignment: `repeats` shuffles of the id list, each

@@ -50,7 +50,13 @@ object OverheadsExperiment {
     val trainMs = PpmKind.all.map { kind =>
       kind -> timeMs(3) { ParameterModel.train(kind, examples) }
     }.toMap
-    val sizes = models.map { case (k, m) => k -> m.forest.serializedSize }
+    // Saved model files, one per kind (the paper's ONNX files).
+    val files = models.map { case (k, m) =>
+      val path = Files.createTempFile(s"pm-${k.name}", ".txt")
+      m.save(path)
+      k -> path
+    }
+    val sizes = files.map { case (k, path) => k -> Files.size(path) }
 
     val sampleFeatures = workload.queries.head.features
     val scoreMs = models.map { case (k, m) =>
@@ -58,8 +64,7 @@ object OverheadsExperiment {
     }
 
     // Cold model load from disk (the paper's ONNX load+setup analogue).
-    val tmp = Files.createTempFile("pm", ".bin")
-    models(PpmKind.PowerLaw).save(tmp)
+    val tmp = files(PpmKind.PowerLaw)
     AutoExecutorRule.invalidateCache()
     val (_, loadMs) = AutoExecutorRule.cachedModel(tmp)
 

@@ -102,8 +102,8 @@ object CrossSfExperiment {
       // ...and from the *training* SF profile of the same query (the paper's
       // observation: Sparklens cannot account for the data-size change).
       eSeries(s"S_${train.sfLabel}", q => trainById(q.query.id).sparklens.toMap),
-      eSeries("AE_PL", q => models(PpmKind.PowerLaw).predictCurve(q.features, grid).toMap),
-      eSeries("AE_AL", q => models(PpmKind.Amdahl).predictCurve(q.features, grid).toMap),
+      eSeries("AE_PL", q => models(PpmKind.PowerLaw).predictPpm(q.features).curve(grid).toMap),
+      eSeries("AE_AL", q => models(PpmKind.Amdahl).predictPpm(q.features).curve(grid).toMap),
     )
     Result(test.sfLabel, train.sfLabel, series)
   }

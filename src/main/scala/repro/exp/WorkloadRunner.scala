@@ -101,7 +101,7 @@ object WorkloadRunner {
     * production clusters.
     */
   def profileQuery(spark: SparkSession, q: Query, sfLabel: String, cacheDir: Path): TaskProfile = {
-    val path = cacheDir.resolve(ProfilingVersion).resolve(sfLabel).resolve(s"${q.id}.bin")
+    val path = cacheDir.resolve(ProfilingVersion).resolve(sfLabel).resolve(s"${q.id}.txt")
     if (Files.exists(path)) TaskProfile.load(path)
     else {
       val profile = withProfilingConfs(spark) {

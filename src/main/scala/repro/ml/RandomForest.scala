@@ -1,7 +1,5 @@
 package repro.ml
 
-import java.io.{ByteArrayOutputStream, FileInputStream, FileOutputStream, ObjectInputStream, ObjectOutputStream}
-import java.nio.file.Path
 import scala.util.Random
 import repro.Par
 
@@ -10,17 +8,14 @@ import repro.Par
   * From-scratch substitute for scikit-learn's `RandomForestRegressor`
   * (paper §3.4 / §5.6): 100 estimators by default, bootstrap sampling,
   * all-features-per-split (sklearn's regression default), multi-output
-  * leaves. Serialization via Java object streams stands in for the paper's
-  * ONNX export — the property that matters (§4.3/§4.4) is a compact on-disk
-  * artifact that loads once into the optimizer process and scores in-JVM in
-  * well under a millisecond, which [[RandomForest.save]]/[[RandomForest.load]]
-  * provide.
+  * leaves. Its on-disk form, the stand-in for the paper's ONNX export
+  * (§4.3/§4.4), is the [[repro.core.ParameterModel]] file.
   */
 final case class RandomForest(
     trees: IndexedSeq[RegressionTree.Node],
     featureNames: IndexedSeq[String],
     nOutputs: Int,
-) extends Serializable {
+) {
 
   /** Mean of the per-tree predictions (the standard bagging aggregate). */
   def predict(x: Array[Double]): Array[Double] = {
@@ -39,21 +34,6 @@ final case class RandomForest(
   }
 
   def predictAll(xs: IndexedSeq[Array[Double]]): IndexedSeq[Array[Double]] = xs.map(predict)
-
-  /** Serialized size in bytes — reported in the overheads experiment (T9)
-    * against the paper's 0.8–1.1 MB pickle/ONNX sizes.
-    */
-  def serializedSize: Long = {
-    val bos = new ByteArrayOutputStream()
-    val oos = new ObjectOutputStream(bos)
-    oos.writeObject(this); oos.close()
-    bos.size().toLong
-  }
-
-  def save(path: Path): Unit = {
-    val oos = new ObjectOutputStream(new FileOutputStream(path.toFile))
-    try oos.writeObject(this) finally oos.close()
-  }
 }
 
 object RandomForest {
@@ -90,13 +70,8 @@ object RandomForest {
         if (params.bootstrap) Array.fill(x.length)(treeRng.nextInt(x.length))
         else Array.range(0, x.length)
       RegressionTree.grow(rows, sample, params.tree, treeRng)
-    }.toVector // a Vector keeps the Java-serialized model byte for byte
+    }
     RandomForest(trees, featureNames, y.head.length)
-  }
-
-  def load(path: Path): RandomForest = {
-    val ois = new ObjectInputStream(new FileInputStream(path.toFile))
-    try ois.readObject().asInstanceOf[RandomForest] finally ois.close()
   }
 
   /** Per-feature permutation importance (paper §5.7, [17]).

@@ -17,7 +17,7 @@ object RegressionTree {
   /** A fitted tree node. Leaves carry the mean target vector of their
     * training samples; internal nodes route on `feature <= threshold`.
     */
-  sealed trait Node extends Serializable {
+  sealed trait Node {
     def predict(x: Array[Double]): Array[Double] = this match {
       case Leaf(v)                   => v
       case Split(f, thr, left, right) => if (x(f) <= thr) left.predict(x) else right.predict(x)

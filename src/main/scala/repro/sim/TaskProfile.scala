@@ -1,6 +1,6 @@
 package repro.sim
 
-import java.io.{FileInputStream, FileOutputStream, ObjectInputStream, ObjectOutputStream}
+import java.nio.charset.StandardCharsets.UTF_8
 import java.nio.file.{Files, Path}
 import scala.collection.mutable
 import org.apache.spark.scheduler._
@@ -28,7 +28,7 @@ final case class StageProfile(
     taskDurationsMs: IndexedSeq[Double],
     shuffleReadBytes: Long,
     inputBytes: Long,
-) extends Serializable {
+) {
   def totalTaskMs: Double = taskDurationsMs.sum
   def maxTaskMs: Double   = if (taskDurationsMs.isEmpty) 0.0 else taskDurationsMs.max
   def numTasks: Int       = taskDurationsMs.length
@@ -49,20 +49,57 @@ final case class TaskProfile(
     stages: IndexedSeq[StageProfile],
     wallMs: Double,
     driverMs: Double,
-) extends Serializable {
+) {
   def totalTaskMs: Double = stages.map(_.totalTaskMs).sum
 
+  /** Write the profile file; see [[TaskProfile.load]] for the format. */
   def save(path: Path): Unit = {
-    Files.createDirectories(path.getParent)
-    val oos = new ObjectOutputStream(new FileOutputStream(path.toFile))
-    try oos.writeObject(this) finally oos.close()
+    require(queryId.nonEmpty && !queryId.exists(_.isWhitespace), s"query id '$queryId' must be one word")
+    def list(xs: Seq[Any]): String = if (xs.isEmpty) "-" else xs.mkString(",")
+    val sb = new StringBuilder
+    sb.append(s"${TaskProfile.Magic} ${TaskProfile.Version}\n")
+    sb.append(s"query $queryId $wallMs $driverMs ${stages.size}\n")
+    stages.foreach { s =>
+      sb.append(s"stage ${s.stageId} ${s.jobIndex} ${list(s.parentIds)} ${s.shuffleReadBytes} ${s.inputBytes} ${list(s.taskDurationsMs)}\n")
+    }
+    if (path.getParent != null) Files.createDirectories(path.getParent)
+    Files.writeString(path, sb.toString, UTF_8)
   }
 }
 
 object TaskProfile {
+  private val Magic   = "repro-profile"
+  private val Version = 1
+
+  /** Read a profile file written by [[TaskProfile.save]]:
+    *
+    * {{{
+    * repro-profile 1
+    * query <id> <wallMs> <driverMs> <stageCount>
+    * stage <stageId> <jobIndex> <parentIds|-> <shuffleReadBytes> <inputBytes> <taskMs>,...
+    * }}}
+    *
+    * One `stage` line per stage; an empty list is written `-`. Doubles are
+    * written with `Double.toString`, which parses back to the identical
+    * value. Another magic or version, or a stage count other than the
+    * header's, is rejected.
+    */
   def load(path: Path): TaskProfile = {
-    val ois = new ObjectInputStream(new FileInputStream(path.toFile))
-    try ois.readObject().asInstanceOf[TaskProfile] finally ois.close()
+    def fail(msg: String): Nothing = throw new IllegalArgumentException(s"$path: $msg")
+    def list[A](s: String)(f: String => A): IndexedSeq[A] =
+      if (s == "-") IndexedSeq.empty else s.split(',').toIndexedSeq.map(f)
+    try Files.readString(path, UTF_8).split('\n').toSeq.map(_.split(' ').toSeq) match {
+      case Seq(Seq(Magic, v), Seq("query", queryId, wallMs, driverMs, nStages), stageLines @ _*) =>
+        if (v != Version.toString) fail(s"profile version $v, this reader knows $Version")
+        if (stageLines.size != nStages.toInt) fail(s"header says $nStages stages, file has ${stageLines.size} stage lines")
+        val stages = stageLines.map {
+          case Seq("stage", id, job, parents, shuffleRead, input, tasks) =>
+            StageProfile(id.toInt, job.toInt, list(parents)(_.toInt), list(tasks)(_.toDouble), shuffleRead.toLong, input.toLong)
+          case other => fail(s"bad stage line '${other.mkString(" ")}'")
+        }
+        TaskProfile(queryId, stages.toIndexedSeq, wallMs.toDouble, driverMs.toDouble)
+      case _ => fail(s"not a $Magic file")
+    } catch { case e: NumberFormatException => fail(s"bad number: ${e.getMessage}") }
   }
 }
 

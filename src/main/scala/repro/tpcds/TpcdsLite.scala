@@ -170,6 +170,16 @@ object TpcdsLite {
     ts
   }
 
+  /** Version of the generated rows: bump it whenever a generator changes
+    * the rows it writes, so a materialized copy from an older generator is
+    * never reused. 2: generators use fixed partitions.
+    */
+  val DataVersion = 2
+
+  /** Where [[materialize]] writes table `name` at `sf` under `baseDir`. */
+  def tableDir(baseDir: Path, sf: Double, name: String): Path =
+    baseDir.resolve(s"data-v$DataVersion").resolve(f"sf$sf%s").resolve(name)
+
   /** Materialize all tables at `sf` as parquet under `baseDir` (idempotent)
     * and register them as temp views over the files. File-backed relations
     * give the featurizer real input-byte statistics and the profiler real
@@ -180,7 +190,7 @@ object TpcdsLite {
   def materialize(spark: SparkSession, sf: Double, baseDir: Path): Map[String, DataFrame] = {
     Files.createDirectories(baseDir)
     tableNames.map { name =>
-      val dir = baseDir.resolve(f"sf$sf%s").resolve(name)
+      val dir = tableDir(baseDir, sf, name)
       if (!Files.exists(dir.resolve("_SUCCESS"))) {
         val df = tables(spark, sf)(name)
         // Fact tables split into many files: parquet row groups don't split
@@ -207,7 +217,7 @@ object TpcdsLite {
     * input bytes" feature source.
     */
   def tableBytes(baseDir: Path, sf: Double, name: String): Long = {
-    val dir = baseDir.resolve(f"sf$sf%s").resolve(name)
+    val dir = tableDir(baseDir, sf, name)
     if (!Files.exists(dir)) 0L
     else {
       val stream = Files.walk(dir)

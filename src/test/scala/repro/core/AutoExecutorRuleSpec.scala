@@ -1,6 +1,7 @@
 package repro.core
 
 import java.nio.file.Files
+import scala.util.Random
 import repro.SparkSpec
 import repro.ml.RandomForest
 import repro.tpcds.{Queries, TpcdsLite}
@@ -22,7 +23,7 @@ class AutoExecutorRuleSpec extends SparkSpec {
       ParameterModel.TrainingExample(q.id, features, curve)
     }
     val model = ParameterModel.train(PpmKind.Amdahl, examples, rfParams = RandomForest.Params(nTrees = 20))
-    val path  = Files.createTempFile("ae-model", ".bin")
+    val path  = Files.createTempFile("ae-model", ".txt")
     model.save(path)
     path
   }
@@ -109,6 +110,22 @@ class AutoExecutorRuleSpec extends SparkSpec {
     val (_, warm) = AutoExecutorRule.cachedModel(modelPath)
     assert(cold > 0.0)
     assert(warm == 0.0)
+  }
+
+  test("a model trained on the same features in another order is rejected at load") {
+    val names = PlanFeaturizer.featureNames
+    val order = names.indices.reverse
+    val r     = new Random(5)
+    val examples = (0 until 20).map { i =>
+      val features = Array.fill(names.size)(r.nextDouble())
+      ParameterModel.TrainingExample(s"q$i", order.map(features).toArray, IndexedSeq(1 -> 100.0, 48 -> 10.0))
+    }
+    val model = ParameterModel.train(PpmKind.Amdahl, examples, order.map(names), RandomForest.Params(nTrees = 3))
+    val path  = Files.createTempFile("ae-permuted", ".txt")
+    model.save(path)
+    AutoExecutorRule.invalidateCache()
+    val e = intercept[IllegalArgumentException](AutoExecutorRule.cachedModel(path))
+    assert(e.getMessage.contains("PlanFeaturizer.featureNames"))
   }
 
   test("predicted PPM in the decision is monotone") {

@@ -1,9 +1,13 @@
 package repro.core
 
+import java.nio.charset.StandardCharsets.UTF_8
 import java.nio.file.Files
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
-import repro.ml.RandomForest
+import repro.Sf100Fixture
+import repro.exp.WorkloadRunner
+import repro.ml.{RandomForest, RandomForestSpec, RegressionTree}
+import repro.sim.SparklensEstimator
 
 class ParameterModelSpec extends AnyFunSuite {
 
@@ -41,7 +45,7 @@ class ParameterModelSpec extends AnyFunSuite {
     val model = ParameterModel.train(PpmKind.Amdahl, examples(50, 3), names,
       RandomForest.Params(nTrees = 10))
     for (probe <- Seq(Array(1.0, 0.1), Array(9.0, 0.9))) {
-      val c = model.predictCurve(probe, 1 to 48)
+      val c = model.predictPpm(probe).curve(1 to 48)
       c.zip(c.tail).foreach { case ((_, a), (_, b)) => assert(b <= a + 1e-9) }
     }
   }
@@ -58,12 +62,80 @@ class ParameterModelSpec extends AnyFunSuite {
   test("save/load roundtrip preserves predictions") {
     val model = ParameterModel.train(PpmKind.PowerLaw, examples(30, 5), names,
       RandomForest.Params(nTrees = 5))
-    val path = Files.createTempFile("pm", ".bin")
-    model.save(path)
-    val loaded = ParameterModel.load(path)
+    val loaded = roundTrip(model)
     val probe  = Array(4.0, 0.4)
     assert(loaded.predictPpm(probe) == model.predictPpm(probe))
     assert(loaded.kind == PpmKind.PowerLaw)
+  }
+
+  private def roundTrip(model: ParameterModel): ParameterModel = {
+    val path = Files.createTempFile("pm", ".txt")
+    try { model.save(path); ParameterModel.load(path) }
+    finally Files.delete(path)
+  }
+
+  for (kind <- PpmKind.all; seed <- Seq(3L, 7L))
+    test(s"a ${kind.name} model trained on the SF100 fixture at seed $seed round-trips bit for bit") {
+      val examples = Sf100Fixture.entries.map { e =>
+        ParameterModel.TrainingExample(e.id, e.features, SparklensEstimator.curve(e.profile, WorkloadRunner.FitGrid))
+      }
+      assert(examples.size == 103)
+      val model  = ParameterModel.train(kind, examples, rfParams = RandomForest.Params(seed = seed))
+      val loaded = roundTrip(model)
+      assert(loaded.kindName == model.kindName)
+      assert(loaded.forest.featureNames == model.forest.featureNames)
+      assert(loaded.forest.nOutputs == model.forest.nOutputs)
+      assert(RandomForestSpec.structure(loaded.forest) == RandomForestSpec.structure(model.forest))
+      examples.foreach(e => assert(loaded.forest.predict(e.features).sameElements(model.forest.predict(e.features)), e.queryId))
+    }
+
+  test("extreme thresholds and leaf values round-trip exactly") {
+    import RegressionTree.{Leaf, Split}
+    val tree = Split(0, -0.0,
+      Leaf(Array(0.0, -0.0)),
+      Split(1, Double.MinPositiveValue,
+        Split(0, 1e300, Leaf(Array(1.0 / 3, Double.MaxValue)), Leaf(Array(-1e-300, 5e-324))),
+        Leaf(Array(2.5, 1e300))))
+    val model = ParameterModel(PpmKind.Amdahl.name, RandomForest(Vector(tree, Leaf(Array(7.0, 8.0))), names, 2))
+    assert(RandomForestSpec.structure(roundTrip(model).forest) == RandomForestSpec.structure(model.forest))
+  }
+
+  /** A valid two-tree AE_AL model file; each malformed case below edits one line of it. */
+  private val validFile =
+    """repro-model 1
+      |kind AE_AL
+      |features scale,noise
+      |outputs 2 trees 2
+      |S 0 0.5 L 1.0,2.0 L 3.0,4.0
+      |L 5.0,6.0
+      |""".stripMargin
+
+  private def loadText(text: String): ParameterModel = {
+    val path = Files.createTempFile("pm", ".txt")
+    try { Files.writeString(path, text, UTF_8); ParameterModel.load(path) }
+    finally Files.delete(path)
+  }
+
+  test("a hand-written model file loads") {
+    val m = loadText(validFile)
+    assert(m.kind == PpmKind.Amdahl && m.forest.featureNames == names && m.forest.trees.size == 2)
+    assert(m.forest.predict(Array(0.0, 0.0)).sameElements(Array(3.0, 4.0)))
+    assert(m.forest.predict(Array(1.0, 0.0)).sameElements(Array(4.0, 5.0)))
+  }
+
+  for ((what, from, to) <- Seq(
+    ("another magic", "repro-model 1", "repro-forest 1"),
+    ("another version", "repro-model 1", "repro-model 2"),
+    ("an unknown kind", "kind AE_AL", "kind AE_XX"),
+    ("an output count other than the kind's parameter count", "outputs 2", "outputs 3"),
+    ("a leaf of another width", "L 5.0,6.0", "L 5.0,6.0,7.0"),
+    ("a split on a feature index past the feature count", "S 0 0.5", "S 2 0.5"),
+    ("a truncated tree line", "S 0 0.5 L 1.0,2.0 L 3.0,4.0", "S 0 0.5 L 1.0,2.0"),
+    ("tokens left over after a tree", "L 5.0,6.0", "L 5.0,6.0 L 7.0,8.0"),
+    ("a tree count other than the header's", "trees 2", "trees 3"),
+  )) test(s"load rejects $what") {
+    assert(validFile.contains(from))
+    intercept[IllegalArgumentException](loadText(validFile.replace(from, to)))
   }
 
   test("kind resolution rejects unknown names") {

@@ -1,6 +1,6 @@
 package repro.exp
 
-import java.io.{ByteArrayOutputStream, ObjectOutputStream}
+import java.nio.file.Files
 import java.util.concurrent.{Callable, ForkJoinPool}
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
@@ -62,11 +62,11 @@ class CrossValidationSpec extends AnyFunSuite {
     })
   }
 
+  /** The saved model file: equal text means an identical model. */
   private def bytes(m: ParameterModel): Seq[Byte] = {
-    val bos = new ByteArrayOutputStream()
-    val oos = new ObjectOutputStream(bos)
-    oos.writeObject(m); oos.close()
-    bos.toByteArray.toSeq
+    val path = Files.createTempFile("cv-model", ".txt")
+    try { m.save(path); Files.readAllBytes(path).toSeq }
+    finally Files.delete(path)
   }
 
   test("trainFolds trains each fold's own models, the same on one worker thread as on the common pool") {

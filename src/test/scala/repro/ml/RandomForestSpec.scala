@@ -1,13 +1,28 @@
 package repro.ml
 
 import java.nio.charset.StandardCharsets.UTF_8
-import java.nio.file.Files
 import java.security.MessageDigest
 import java.util.concurrent.{Callable, ForkJoinPool}
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
 
+object RandomForestSpec {
+
+  /** Every split feature, threshold bit pattern and leaf value bit pattern,
+    * tree by tree: equal strings mean node-for-node equal forests.
+    */
+  def structure(rf: RandomForest): String = {
+    def bits(d: Double) = java.lang.Long.toHexString(java.lang.Double.doubleToRawLongBits(d))
+    def node(n: RegressionTree.Node): String = n match {
+      case RegressionTree.Leaf(v)             => v.map(bits).mkString("L(", ",", ")")
+      case RegressionTree.Split(f, thr, l, r) => s"S($f,${bits(thr)},${node(l)},${node(r)})"
+    }
+    rf.trees.map(node).mkString("\n")
+  }
+}
+
 class RandomForestSpec extends AnyFunSuite {
+  import RandomForestSpec.structure
 
   private def syntheticData(n: Int, seed: Long): (IndexedSeq[Array[Double]], IndexedSeq[Array[Double]]) = {
     val r = new Random(seed)
@@ -24,18 +39,6 @@ class RandomForestSpec extends AnyFunSuite {
     val x = (0 until n).map(_ => Array(r.nextDouble() * 10, r.nextInt(6).toDouble, Seq(-1.0, -0.0, 0.0, 1.0)(r.nextInt(4))))
     val y = x.map(f => Array(2.0 * f(0) + f(1) + r.nextGaussian(), f(0) * (f(2) + 2), 0.1 * f(1)))
     (x, y)
-  }
-
-  /** Every split feature, threshold bit pattern and leaf value bit pattern,
-    * tree by tree: equal strings mean node-for-node equal forests.
-    */
-  private def structure(rf: RandomForest): String = {
-    def bits(d: Double) = java.lang.Long.toHexString(java.lang.Double.doubleToRawLongBits(d))
-    def node(n: RegressionTree.Node): String = n match {
-      case RegressionTree.Leaf(v)             => v.map(bits).mkString("L(", ",", ")")
-      case RegressionTree.Split(f, thr, l, r) => s"S($f,${bits(thr)},${node(l)},${node(r)})"
-    }
-    rf.trees.map(node).mkString("\n")
   }
 
   private def sha256(s: String): String =
@@ -102,26 +105,6 @@ class RandomForestSpec extends AnyFunSuite {
     val (x, y) = syntheticData(20, 4)
     val rf = RandomForest.fit(x, y, IndexedSeq("a", "b", "c"), RandomForest.Params(nTrees = 3))
     intercept[IllegalArgumentException] { rf.predict(Array(1.0)) }
-  }
-
-  test("save/load roundtrip preserves predictions (ONNX-substitute path)") {
-    val (x, y) = syntheticData(50, 5)
-    val rf   = RandomForest.fit(x, y, IndexedSeq("a", "b", "c"), RandomForest.Params(nTrees = 10))
-    val path = Files.createTempFile("rf", ".bin")
-    rf.save(path)
-    val loaded = RandomForest.load(path)
-    val probe  = Array(3.0, 4.0, 0.2)
-    assert(loaded.predict(probe).sameElements(rf.predict(probe)))
-    assert(loaded.featureNames == rf.featureNames)
-  }
-
-  test("serializedSize is positive and matches the on-disk file size") {
-    val (x, y) = syntheticData(50, 6)
-    val rf   = RandomForest.fit(x, y, IndexedSeq("a", "b", "c"), RandomForest.Params(nTrees = 10))
-    val path = Files.createTempFile("rf", ".bin")
-    rf.save(path)
-    assert(rf.serializedSize > 0)
-    assert(math.abs(rf.serializedSize - Files.size(path)) < 200)
   }
 
   test("permutation importance ranks informative features above noise") {

@@ -47,7 +47,7 @@ class ProfileCollectorSpec extends SparkSpec {
 
   test("profile save/load roundtrip") {
     val p    = runProfiled("p6")
-    val path = Files.createTempDirectory("prof").resolve("p6.bin")
+    val path = Files.createTempDirectory("prof").resolve("p6.txt")
     p.save(path)
     val loaded = TaskProfile.load(path)
     assert(loaded == p)

@@ -1,6 +1,7 @@
 package repro.tpcds
 
 import java.nio.file.Files
+import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 
 class TpcdsLiteSpec extends SparkSpec {
@@ -68,6 +69,17 @@ class TpcdsLiteSpec extends SparkSpec {
     assert(TpcdsLite.tableBytes(dir, sf, "store_sales") == before)
   }
 
+  test("materialize ignores a copy written by an older generator") {
+    // A store_sales of 3 rows at the unversioned path older builds wrote to.
+    val dir   = Files.createTempDirectory("tpcds-stale")
+    val stale = dir.resolve(s"sf$sf").resolve("store_sales")
+    TpcdsLite.storeSales(spark, sf).limit(3).write.parquet(stale.toString)
+    assert(Files.exists(stale.resolve("_SUCCESS")))
+    val ts = TpcdsLite.materialize(spark, sf, dir)
+    def checksum(df: DataFrame) = df.selectExpr("count(*)", "sum(ss_item_sk)", "sum(ss_quantity)").head()
+    assert(checksum(ts("store_sales")) == checksum(TpcdsLite.storeSales(spark, sf)))
+  }
+
   test("tableBytes reports positive sizes for materialized tables") {
     val dir = Files.createTempDirectory("tpcds2")
     TpcdsLite.materialize(spark, sf, dir)
@@ -79,7 +91,7 @@ class TpcdsLiteSpec extends SparkSpec {
   test("fact tables are written as multiple files for scan parallelism") {
     val dir = Files.createTempDirectory("tpcds3")
     TpcdsLite.materialize(spark, sf, dir)
-    val parts = Files.list(dir.resolve(s"sf$sf").resolve("store_sales"))
+    val parts = Files.list(TpcdsLite.tableDir(dir, sf, "store_sales"))
       .filter(p => p.getFileName.toString.endsWith(".parquet")).count()
     assert(parts >= 2, s"expected multiple parquet files, got $parts")
   }
