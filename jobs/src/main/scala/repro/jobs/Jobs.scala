@@ -1,16 +1,15 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.PpmKind
+import repro.core.{AutoExecutorExtensions, PpmKind}
 import repro.exp._
 import repro.tpcds.TpcdsLite
 
 /** Shared bootstrap for the spark-submit entrypoints: one object per
   * reproduced paper table (DESIGN.md per-table index).
   *
-  * Usage: `spark-submit --class repro.jobs.T3_TimePrediction repro-jobs.jar`
-  * (optionally `--conf spark.sql.extensions=repro.core.AutoExecutorExtensions`
-  * to wire the optimizer rule at session build time).
+  * Usage: `spark-submit --class repro.jobs.T3_TimePrediction repro-jobs.jar`;
+  * sessions wire the optimizer rule through `spark.sql.extensions`.
   */
 object JobSupport {
 
@@ -19,6 +18,7 @@ object JobSupport {
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .config("spark.sql.extensions", classOf[AutoExecutorExtensions].getName)
       .getOrCreate()
 
   def sf100(spark: SparkSession): Workload =

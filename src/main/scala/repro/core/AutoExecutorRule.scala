@@ -3,8 +3,8 @@ package repro.core
 import java.nio.file.{Path, Paths}
 import java.util.concurrent.ConcurrentHashMap
 import scala.collection.mutable
-import org.apache.spark.sql.{SparkSession, SparkSessionExtensions}
-import org.apache.spark.sql.catalyst.plans.logical.{Command, LogicalPlan}
+import org.apache.spark.sql.SparkSessionExtensions
+import org.apache.spark.sql.catalyst.plans.logical.{Command, LogicalPlan, Subquery}
 import org.apache.spark.sql.catalyst.rules.Rule
 
 /** AutoExecutor's Spark-optimizer integration (paper §4): a
@@ -18,11 +18,11 @@ import org.apache.spark.sql.catalyst.rules.Rule
   *   5. applies the selection strategy and requests the chosen count.
   *
   * Step 5's `sc.requestTotalExecutors` has no effect on a local master, so
-  * the request is surfaced through `spark.conf`
-  * (`spark.repro.autoexecutor.requestedExecutors`) and an in-JVM
-  * [[DecisionLog]]; the allocation-policy simulator consumes it the way the
-  * cluster manager would (DESIGN.md substitution table). The rule returns
-  * the plan unchanged — resource decisions never alter query semantics.
+  * the request is surfaced through the conf of the session being optimized
+  * (`spark.repro.autoexecutor.requestedExecutors`, `.predictedTimes`) and an
+  * in-JVM [[DecisionLog]]; the allocation-policy simulator consumes it the
+  * way the cluster manager would (DESIGN.md substitution table). The rule
+  * returns the plan unchanged — resource decisions never alter query semantics.
   *
   * Configuration (all runtime-settable):
   *   - `spark.repro.autoexecutor.enabled`   — gate, default false
@@ -30,18 +30,23 @@ import org.apache.spark.sql.catalyst.rules.Rule
   *   - `spark.repro.autoexecutor.strategy`  — `elbow` or `slowdown:<H>`
   *   - `spark.repro.autoexecutor.maxExecutors` — candidate grid upper bound
   */
-class AutoExecutorRule(spark: SparkSession) extends Rule[LogicalPlan] {
-  import AutoExecutorRule._
+object AutoExecutorRule extends Rule[LogicalPlan] {
+  val EnabledKey            = "spark.repro.autoexecutor.enabled"
+  val ModelPathKey          = "spark.repro.autoexecutor.modelPath"
+  val StrategyKey           = "spark.repro.autoexecutor.strategy"
+  val MaxExecutorsKey       = "spark.repro.autoexecutor.maxExecutors"
+  val RequestedExecutorsKey = "spark.repro.autoexecutor.requestedExecutors"
+  val PredictedTimesKey     = "spark.repro.autoexecutor.predictedTimes"
 
   override def apply(plan: LogicalPlan): LogicalPlan = {
-    val conf = spark.conf
-    val enabled = conf.getOption(EnabledKey).contains("true")
-    if (!enabled || plan.isInstanceOf[Command]) return plan
+    val enabled = conf.getConfString(EnabledKey, "false") == "true"
+    // Catalyst optimizes each subquery as its own plan under a `Subquery` root.
+    if (!enabled || plan.isInstanceOf[Command] || plan.isInstanceOf[Subquery]) return plan
 
-    val modelPath = conf.getOption(ModelPathKey)
+    val modelPath = Option(conf.getConfString(ModelPathKey, null))
       .getOrElse(throw new IllegalStateException(s"$EnabledKey is set but $ModelPathKey is not"))
-    val maxN = conf.getOption(MaxExecutorsKey).map(_.toInt).getOrElse(48)
-    val strategy = parseStrategy(conf.getOption(StrategyKey).getOrElse("elbow"))
+    val maxN     = conf.getConfString(MaxExecutorsKey, "48").toInt
+    val strategy = parseStrategy(conf.getConfString(StrategyKey, "elbow"))
 
     val (model, loadMs) = cachedModel(Paths.get(modelPath))
 
@@ -56,7 +61,8 @@ class AutoExecutorRule(spark: SparkSession) extends Rule[LogicalPlan] {
     val curve = ppm.curve(1 to maxN)
     val n     = strategy.select(curve)
 
-    conf.set(RequestedExecutorsKey, n.toString)
+    conf.setConfString(RequestedExecutorsKey, n.toString)
+    conf.setConfString(PredictedTimesKey, curve.map(_._2).mkString(","))
     DecisionLog.record(Decision(
       planDigest = plan.semanticHash(),
       requestedExecutors = n,
@@ -68,14 +74,6 @@ class AutoExecutorRule(spark: SparkSession) extends Rule[LogicalPlan] {
     ))
     plan
   }
-}
-
-object AutoExecutorRule {
-  val EnabledKey            = "spark.repro.autoexecutor.enabled"
-  val ModelPathKey          = "spark.repro.autoexecutor.modelPath"
-  val StrategyKey           = "spark.repro.autoexecutor.strategy"
-  val MaxExecutorsKey       = "spark.repro.autoexecutor.maxExecutors"
-  val RequestedExecutorsKey = "spark.repro.autoexecutor.requestedExecutors"
 
   /** Model cache: the paper caches loaded ONNX models inside the optimizer
     * process so the live query path pays load cost only once (§4.4).
@@ -109,16 +107,6 @@ object AutoExecutorRule {
       ConfigSelector.LimitedSlowdown(other.stripPrefix("slowdown:").toDouble)
     case other => throw new IllegalArgumentException(s"unknown strategy '$other'")
   }
-
-  /** Install on a live session via the experimental-methods hook — the
-    * runtime-injectable counterpart of [[AutoExecutorExtensions]] for
-    * sessions that were built without `spark.sql.extensions`. Idempotent.
-    */
-  def install(spark: SparkSession): Unit = {
-    val existing = spark.experimental.extraOptimizations
-    if (!existing.exists(_.isInstanceOf[AutoExecutorRule]))
-      spark.experimental.extraOptimizations = existing :+ new AutoExecutorRule(spark)
-  }
 }
 
 /** One predictive-allocation decision made by the rule. */
@@ -133,23 +121,35 @@ final case class Decision(
 )
 
 /** In-JVM record of the rule's decisions — the observable stand-in for the
-  * executor-allocation API call, also used to measure §5.6 overheads.
+  * executor-allocation API call, also used to measure §5.6 overheads. Keeps
+  * the last `Capacity` decisions; the oldest is dropped first.
   */
 object DecisionLog {
-  private val decisions = mutable.ArrayBuffer.empty[Decision]
+  val Capacity = 1024
 
-  def record(d: Decision): Unit = synchronized { decisions += d }
+  private val decisions = mutable.ArrayDeque.empty[Decision]
+
+  def record(d: Decision): Unit = synchronized {
+    if (decisions.size == Capacity) decisions.removeHead()
+    decisions += d
+  }
   def all: IndexedSeq[Decision] = synchronized { decisions.toIndexedSeq }
   def last: Option[Decision]    = synchronized { decisions.lastOption }
   def clear(): Unit             = synchronized { decisions.clear() }
 }
 
-/** `spark.sql.extensions`-style builder (paper §4.4 uses the Spark
-  * extensions feature, SPARK-18127): pass
-  * `--conf spark.sql.extensions=repro.core.AutoExecutorExtensions` to
-  * spark-submit to inject the rule at session build time.
+/** The only way to wire the rule (paper §4.4, SPARK-18127):
+  * `--conf spark.sql.extensions=repro.core.AutoExecutorExtensions`. A check-rule
+  * builder, called once per session state, adds the rule (if absent) to
+  * `experimental.extraOptimizations`, the batch SparkOptimizer runs after its
+  * rewrites, so the rule sees the final plan (DESIGN.md, Catalyst integration).
   */
 class AutoExecutorExtensions extends (SparkSessionExtensions => Unit) {
   override def apply(extensions: SparkSessionExtensions): Unit =
-    extensions.injectOptimizerRule(session => new AutoExecutorRule(session))
+    extensions.injectCheckRule { session =>
+      val methods = session.experimental
+      if (!methods.extraOptimizations.contains(AutoExecutorRule))
+        methods.extraOptimizations :+= AutoExecutorRule
+      _ => ()
+    }
 }

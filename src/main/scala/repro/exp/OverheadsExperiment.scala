@@ -33,8 +33,8 @@ object OverheadsExperiment {
   }
 
   /** Measure overheads on a built workload. If `spark` is given, also runs
-    * one query through the installed [[AutoExecutorRule]] and reports the
-    * rule's own in-optimizer timings from the [[DecisionLog]].
+    * one query through the extension-wired [[AutoExecutorRule]] and reports
+    * the rule's own in-optimizer timings from the [[DecisionLog]].
     */
   def run(workload: Workload, spark: Option[SparkSession] = None): Result = {
     val curves = workload.queries.map(q => SparklensEstimator.curve(q.profile, WorkloadRunner.FitGrid))
@@ -75,15 +75,15 @@ object OverheadsExperiment {
         val q    = workload.queries.head.query
         val plan = WorkloadRunner.withProfilingConfs(s)(s.sql(q.sql).queryExecution.optimizedPlan)
         val fMs  = timeMs(20) { PlanFeaturizer.featurize(plan) }
-        AutoExecutorRule.install(s)
         DecisionLog.clear()
         s.conf.set(AutoExecutorRule.EnabledKey, "true")
         s.conf.set(AutoExecutorRule.ModelPathKey, tmp.toString)
         s.conf.set(AutoExecutorRule.StrategyKey, "slowdown:1.05")
         try s.sql(q.sql).queryExecution.optimizedPlan
         finally s.conf.set(AutoExecutorRule.EnabledKey, "false")
-        val d = DecisionLog.last
-        (fMs, d.map(_.featurizationMs), d.map(_.scoringMs))
+        val d = DecisionLog.last.getOrElse(throw new IllegalStateException(
+          s"the rule made no decision: build the session with spark.sql.extensions=${classOf[AutoExecutorExtensions].getName}"))
+        (fMs, Some(d.featurizationMs), Some(d.scoringMs))
       case None => (Double.NaN, None, None)
     }
 

@@ -41,7 +41,7 @@ object WorkloadRunner {
   /** Cache format/version tag: bump when the profiling configuration or the
     * data layout changes, so stale profiles are never reused.
     */
-  val ProfilingVersion = "v5"
+  val ProfilingVersion = "v6"
 
   /** Profiling runs expose task-level parallelism worth the full 48 × 4
     * slots, like the paper's SF=100 runs: 192 shuffle partitions, small scan

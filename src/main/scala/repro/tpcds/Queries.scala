@@ -216,7 +216,7 @@ object Queries {
       GROUP BY CAST(FLOOR(${int("c_birth_year")} / 10.0) * 10 AS INT)
     """),
     Template("t24", Seq("web_sales", "item", "date_dim"), v => s"""
-      SELECT i_category, ROUND(AVG(${dbl("ws_sales_price")}), 2) AS avg_price,
+      SELECT i_category, ROUND(AVG(${dec("ws_sales_price")}), 2) AS avg_price,
              SUM(${dec("ws_net_profit")}) AS profit
       FROM web_sales JOIN item ON ws_item_sk = i_item_sk
                      JOIN date_dim ON ws_sold_date_sk = d_date_sk

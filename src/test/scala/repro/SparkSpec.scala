@@ -3,8 +3,11 @@ package repro
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.AutoExecutorExtensions
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for every test: one local-mode SparkSession for the whole run,
+  * built with `spark.sql.extensions=repro.core.AutoExecutorExtensions` so
+  * tests wire the optimizer rule the way jobs and spark-submit do.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
@@ -26,6 +29,7 @@ object SparkSpec {
       .config("spark.sql.shuffle.partitions",
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .config("spark.sql.extensions", classOf[AutoExecutorExtensions].getName)
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).

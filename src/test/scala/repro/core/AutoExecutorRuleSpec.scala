@@ -2,13 +2,16 @@ package repro.core
 
 import java.nio.file.Files
 import scala.util.Random
+import org.apache.spark.sql.SparkSession
 import repro.SparkSpec
+import repro.exp.WorkloadRunner
 import repro.ml.RandomForest
 import repro.tpcds.{Queries, TpcdsLite}
 
-/** End-to-end Catalyst integration: the rule is installed on the live
-  * session, fires during optimization of real queries, scores the cached
-  * model in-process and surfaces its executor request.
+/** End-to-end Catalyst integration: the rule, wired into the shared
+  * session by `spark.sql.extensions`, fires during optimization of real
+  * queries, scores the cached model in-process and surfaces its executor
+  * request.
   */
 class AutoExecutorRuleSpec extends SparkSpec {
 
@@ -32,7 +35,6 @@ class AutoExecutorRuleSpec extends SparkSpec {
     // Force the lazy model build BEFORE enabling the rule — building it runs
     // queries through the optimizer, which must not see a half-configured rule.
     val mp = modelPath
-    AutoExecutorRule.install(spark)
     spark.conf.set(AutoExecutorRule.ModelPathKey, mp.toString)
     spark.conf.set(AutoExecutorRule.StrategyKey, strategy)
     spark.conf.set(AutoExecutorRule.EnabledKey, "true")
@@ -42,15 +44,50 @@ class AutoExecutorRuleSpec extends SparkSpec {
 
   private def optimize(sql: String): Unit = spark.sql(sql).queryExecution.optimizedPlan
 
-  test("install is idempotent") {
-    AutoExecutorRule.install(spark)
-    AutoExecutorRule.install(spark)
-    assert(spark.experimental.extraOptimizations.count(_.isInstanceOf[AutoExecutorRule]) == 1)
+  private def ruleCount(s: SparkSession): Int =
+    s.experimental.extraOptimizations.count(_ == AutoExecutorRule)
+
+  test("the extension registers the rule exactly once per session") {
+    modelPath // registers the temp views as a side effect
+    (1 to 3).foreach(_ => optimize("SELECT COUNT(*) AS c FROM store_sales"))
+    assert(ruleCount(spark) == 1)
+    val other = spark.newSession()
+    (1 to 3).foreach(_ => other.sql("SELECT 1 AS one").queryExecution.optimizedPlan)
+    assert(ruleCount(other) == 1)
+  }
+
+  test("the extension decides once per query, on the final plan, with the training features") {
+    val strategy = AutoExecutorRule.parseStrategy("slowdown:1.05")
+    withRule("slowdown:1.05") {
+      val (model, _) = AutoExecutorRule.cachedModel(modelPath)
+      Queries.all.foreach { q =>
+        DecisionLog.clear()
+        val plan = spark.sql(q.sql).queryExecution.optimizedPlan
+        val ds   = DecisionLog.all
+        assert(ds.size == 1, s"${q.id}: ${ds.size} decisions")
+        val features = PlanFeaturizer.featurize(plan)
+        assert(ds.head.features.sameElements(features), s"${q.id}: features differ from the final plan's")
+        assert(ds.head.requestedExecutors == strategy.select(model.predictPpm(features).curve(1 to 48)), q.id)
+        val training = WorkloadRunner.withProfilingConfs(spark)(PlanFeaturizer.featurize(spark.sql(q.sql)))
+        assert(ds.head.features.sameElements(training), s"${q.id}: features differ from the training featurization")
+      }
+    }
+  }
+
+  test("the decision log keeps the last Capacity decisions in record order") {
+    DecisionLog.clear()
+    val n = DecisionLog.Capacity + 5
+    (0 until n).foreach { i =>
+      DecisionLog.record(Decision(i, 1, AmdahlPpm(1.0, 1.0), Array.emptyDoubleArray, 0.0, 0.0, 0.0))
+    }
+    assert(DecisionLog.all.map(_.planDigest) == (5 until n))
+    assert(DecisionLog.last.map(_.planDigest).contains(n - 1))
+    DecisionLog.clear()
+    assert(DecisionLog.all.isEmpty && DecisionLog.last.isEmpty)
   }
 
   test("disabled rule records nothing") {
     modelPath // registers the temp views as a side effect
-    AutoExecutorRule.install(spark)
     spark.conf.set(AutoExecutorRule.EnabledKey, "false")
     DecisionLog.clear()
     optimize("SELECT COUNT(*) AS c FROM store_sales")
@@ -64,6 +101,8 @@ class AutoExecutorRuleSpec extends SparkSpec {
       val d = DecisionLog.last.getOrElse(fail("no decision recorded"))
       assert(d.requestedExecutors >= 1 && d.requestedExecutors <= 48)
       assert(spark.conf.get(AutoExecutorRule.RequestedExecutorsKey).toInt == d.requestedExecutors)
+      val times = spark.conf.get(AutoExecutorRule.PredictedTimesKey).split(",").map(_.toDouble)
+      assert(times.toSeq == d.ppm.curve(1 to 48).map(_._2))
     }
   }
 
@@ -139,7 +178,7 @@ class AutoExecutorRuleSpec extends SparkSpec {
 
   test("the rule leaves the plan unchanged (resource decisions are not rewrites)") {
     val plan = withRule() { spark.sql(Queries.byId("q021").sql).queryExecution.optimizedPlan }
-    val out  = withRule() { new AutoExecutorRule(spark).apply(plan) }
+    val out  = withRule() { AutoExecutorRule(plan) }
     assert(out eq plan, "the rule must return the input plan instance untouched")
   }
 
@@ -150,7 +189,6 @@ class AutoExecutorRuleSpec extends SparkSpec {
   }
 
   test("enabled without a model path fails loudly") {
-    AutoExecutorRule.install(spark)
     spark.conf.set(AutoExecutorRule.EnabledKey, "true")
     spark.conf.unset(AutoExecutorRule.ModelPathKey)
     try {
