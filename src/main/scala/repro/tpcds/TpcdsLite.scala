@@ -1,6 +1,8 @@
 package repro.tpcds
 
 import java.nio.file.{Files, Path, Paths}
+import java.util.concurrent.{Callable, ExecutionException, Executors, TimeUnit}
+import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
@@ -180,34 +182,58 @@ object TpcdsLite {
   def tableDir(baseDir: Path, sf: Double, name: String): Path =
     baseDir.resolve(s"data-v$DataVersion").resolve(f"sf$sf%s").resolve(name)
 
+  /** Parquet files table `name` is written as at `sf`. Parquet row groups
+    * don't split below file granularity, so scan-stage parallelism equals
+    * the file count, and fact-table block counts scale with data size like a
+    * real data lake: at "SF100" (sf=0.1) store_sales spans 192 blocks (= the
+    * 48×4-slot ceiling, as the paper's SF=100 scans exceed it), at "SF10" ~19.
+    */
+  def fileCount(name: String, sf: Double): Int = {
+    def scaled(base: Int): Int = math.max(4, math.min(base, (base * sf * 10).round.toInt))
+    name match {
+      case "store_sales"           => scaled(192)
+      case "web_sales"             => scaled(48)
+      case "customer" | "date_dim" => 4
+      case _                       => 1
+    }
+  }
+
   /** Materialize all tables at `sf` as parquet under `baseDir` (idempotent)
     * and register them as temp views over the files. File-backed relations
     * give the featurizer real input-byte statistics and the profiler real
     * scan stages, like the paper's data-lake tables.
     *
-    * Fact tables are written as several files so scans parallelize.
+    * Tables without a `_SUCCESS` marker are (re)written concurrently, one
+    * Spark job each, through [[PosixLocalFileSystem]]. Once all writes have
+    * ended, the error of the first failed table (in `tableNames` order) is
+    * rethrown as raised. The views carry the generator's schema, so
+    * registering them reads no parquet footer.
     */
   def materialize(spark: SparkSession, sf: Double, baseDir: Path): Map[String, DataFrame] = {
     Files.createDirectories(baseDir)
-    tableNames.map { name =>
-      val dir = tableDir(baseDir, sf, name)
-      if (!Files.exists(dir.resolve("_SUCCESS"))) {
-        val df = tables(spark, sf)(name)
-        // Fact tables split into many files: parquet row groups don't split
-        // below file granularity, so scan-stage parallelism equals the file
-        // count. Block counts scale with data size like a real data lake —
-        // at "SF100" (sf=0.1) store_sales spans 192 blocks (= the 48×4-slot
-        // ceiling, as the paper's SF=100 scans exceed it), at "SF10" ~19.
-        def scaled(base: Int): Int = math.max(4, math.min(base, (base * sf * 10).round.toInt))
-        val files = name match {
-          case "store_sales"           => scaled(192)
-          case "web_sales"             => scaled(48)
-          case "customer" | "date_dim" => 4
-          case _                       => 1
+    val ts      = tables(spark, sf)
+    val pending = tableNames.filterNot(name => Files.exists(tableDir(baseDir, sf, name).resolve("_SUCCESS")))
+    def write(name: String): Unit =
+      ts(name).repartition(fileCount(name, sf)).write.mode("overwrite")
+        .option("fs.file.impl", classOf[PosixLocalFileSystem].getName)
+        .option("fs.file.impl.disable.cache", "true")
+        .parquet(tableDir(baseDir, sf, name).toString)
+    // A dedicated pool: these threads block on Spark jobs, so they must not
+    // occupy the common ForkJoinPool that repro.Par computes on.
+    if (pending.nonEmpty) {
+      val pool = Executors.newFixedThreadPool(pending.size, (r: Runnable) => new Thread(r, "tpcds-materialize"))
+      try {
+        val tasks = pending.map(name => (() => { SparkSession.setActiveSession(spark); write(name) }): Callable[Unit])
+        pool.invokeAll(tasks.asJava).asScala.foreach { f =>
+          try f.get() catch { case e: ExecutionException => throw e.getCause }
         }
-        df.repartition(files).write.mode("overwrite").parquet(dir.toString)
+      } finally {
+        pool.shutdown()
+        pool.awaitTermination(Long.MaxValue, TimeUnit.NANOSECONDS)
       }
-      val df = spark.read.parquet(dir.toString)
+    }
+    tableNames.map { name =>
+      val df = spark.read.schema(ts(name).schema).parquet(tableDir(baseDir, sf, name).toString)
       df.createOrReplaceTempView(name)
       name -> df
     }.toMap

@@ -1,6 +1,8 @@
 package repro.tpcds
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path}
+import java.util.concurrent.ExecutionException
+import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 
@@ -94,5 +96,69 @@ class TpcdsLiteSpec extends SparkSpec {
     val parts = Files.list(TpcdsLite.tableDir(dir, sf, "store_sales"))
       .filter(p => p.getFileName.toString.endsWith(".parquet")).count()
     assert(parts >= 2, s"expected multiple parquet files, got $parts")
+  }
+
+  private val JobUuid = "[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}".r
+
+  private def fileNames(dir: Path): Set[String] = {
+    val stream = Files.list(dir)
+    try stream.iterator.asScala.map(_.getFileName.toString).toSet finally stream.close()
+  }
+
+  test("materialize writes the files, sizes, modes and rows of sequential writes through the stock file system") {
+    val dir = Files.createTempDirectory("tpcds-eq")
+    val ref = Files.createTempDirectory("tpcds-ref")
+    TpcdsLite.materialize(spark, sf, dir)
+    val ts = TpcdsLite.tables(spark, sf)
+    TpcdsLite.tableNames.foreach { name =>
+      ts(name).repartition(TpcdsLite.fileCount(name, sf)).write.parquet(ref.resolve(name).toString)
+    }
+    TpcdsLite.tableNames.foreach { name =>
+      val (a, b) = (TpcdsLite.tableDir(dir, sf, name), ref.resolve(name))
+      def listing(d: Path) = fileNames(d).map { f =>
+        JobUuid.replaceAllIn(f, "UUID") -> (Files.size(d.resolve(f)), Files.getPosixFilePermissions(d.resolve(f)))
+      }.toMap
+      val (la, lb) = (listing(a), listing(b))
+      assert(la == lb, s"table $name")
+      assert(Files.getPosixFilePermissions(a) == Files.getPosixFilePermissions(b), s"table $name directory")
+      assert(la.keySet.count(_.endsWith(".parquet")) == TpcdsLite.fileCount(name, sf), s"table $name")
+      assert(la.contains("_SUCCESS") && la.contains("._SUCCESS.crc"), s"table $name")
+      assert(spark.table(name).schema == spark.read.parquet(a.toString).schema, s"view $name")
+      fileNames(a).filter(_.endsWith(".parquet")).foreach { f =>
+        val twin = fileNames(b).find(g => JobUuid.replaceAllIn(g, "") == JobUuid.replaceAllIn(f, "")).get
+        def rows(p: Path) = spark.read.parquet(p.toString).collect().toSeq
+        assert(rows(a.resolve(f)) == rows(b.resolve(twin)), s"$name/$f")
+      }
+    }
+  }
+
+  test("materialize rewrites only the tables without _SUCCESS") {
+    val dir = Files.createTempDirectory("tpcds-partial")
+    TpcdsLite.materialize(spark, sf, dir)
+    def names() = TpcdsLite.tableNames.map(t => t -> fileNames(TpcdsLite.tableDir(dir, sf, t))).toMap
+    val before = names()
+    Files.delete(TpcdsLite.tableDir(dir, sf, "item").resolve("_SUCCESS"))
+    val ts    = TpcdsLite.materialize(spark, sf, dir)
+    val after = names()
+    TpcdsLite.tableNames.filterNot(_ == "item").foreach(t => assert(after(t) == before(t), s"table $t was rewritten"))
+    assert(after("item") != before("item") && after("item").contains("_SUCCESS"))
+    assert(ts("item").count() == TpcdsLite.item(spark, sf).count())
+  }
+
+  test("a failed write rethrows the write's own error and leaves no pool thread alive") {
+    // A regular file where the table directories' parent should be. (One at
+    // a table's own directory is not an error: the overwrite deletes it.)
+    val dir = Files.createTempDirectory("tpcds-fail")
+    val blocker = TpcdsLite.tableDir(dir, sf, "item").getParent
+    Files.createDirectories(blocker.getParent)
+    Files.write(blocker, Array[Byte](1))
+    val direct = intercept[Exception](TpcdsLite.item(spark, sf).write.parquet(blocker.resolve("item").toString))
+    val e      = intercept[Exception](TpcdsLite.materialize(spark, sf, dir))
+    assert(!e.isInstanceOf[ExecutionException])
+    assert(e.getClass == direct.getClass, e.toString)
+    val workers = Thread.getAllStackTraces.keySet.asScala.filter(_.getName == "tpcds-materialize")
+    val deadline = System.currentTimeMillis() + 10000
+    workers.foreach(t => t.join(math.max(1L, deadline - System.currentTimeMillis())))
+    assert(workers.forall(!_.isAlive))
   }
 }
