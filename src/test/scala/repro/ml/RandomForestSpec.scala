@@ -5,19 +5,27 @@ import java.security.MessageDigest
 import java.util.concurrent.{Callable, ForkJoinPool}
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Sf100Fixture
+import repro.core.{PlanFeaturizer, PpmKind}
+import repro.exp.{CrossValidation, WorkloadRunner}
+import repro.sim.SparklensEstimator
 
 object RandomForestSpec {
 
   /** Every split feature, threshold bit pattern and leaf value bit pattern,
     * tree by tree: equal strings mean node-for-node equal forests.
     */
-  def structure(rf: RandomForest): String = {
+  def structure(rf: RandomForest): String = structure(rf.trees)
+
+  def structure(trees: Seq[RegressionTree.Node]): String = trees.map(tree).mkString("\n")
+
+  /** One tree's splits and leaves, as in [[structure]]. */
+  def tree(n: RegressionTree.Node): String = {
     def bits(d: Double) = java.lang.Long.toHexString(java.lang.Double.doubleToRawLongBits(d))
-    def node(n: RegressionTree.Node): String = n match {
+    n match {
       case RegressionTree.Leaf(v)             => v.map(bits).mkString("L(", ",", ")")
-      case RegressionTree.Split(f, thr, l, r) => s"S($f,${bits(thr)},${node(l)},${node(r)})"
+      case RegressionTree.Split(f, thr, l, r) => s"S($f,${bits(thr)},${tree(l)},${tree(r)})"
     }
-    rf.trees.map(node).mkString("\n")
   }
 }
 
@@ -66,6 +74,37 @@ class RandomForestSpec extends AnyFunSuite {
     val rf = RandomForest.fit(x, y, tiedNames, tiedParams)
     assert(rf.trees.map(_.nodeCount).sum == PinnedNodes)
     assert(sha256(structure(rf)) == PinnedDigest)
+  }
+
+  /** The trees [[RandomForest.fit]] grows, grown by the exhaustive split
+    * search of [[RegressionTreeSpec.exhaustiveGrow]].
+    */
+  private def exhaustiveForest(x: IndexedSeq[Array[Double]], y: IndexedSeq[Array[Double]],
+                               params: RandomForest.Params): IndexedSeq[RegressionTree.Node] = {
+    val rng  = new Random(params.seed)
+    val rows = new RegressionTree.Rows(x, y)
+    Array.fill(params.nTrees)(rng.nextLong()).toIndexedSeq.map { seed =>
+      val treeRng = new Random(seed)
+      val sample =
+        if (params.bootstrap) Array.fill(x.length)(treeRng.nextInt(x.length))
+        else Array.range(0, x.length)
+      RegressionTreeSpec.exhaustiveGrow(rows, sample, params.tree, treeRng)
+    }
+  }
+
+  test("every seed-7 fixture CV fold of both PPM kinds grows the exhaustive split search's forest") {
+    val entries = Sf100Fixture.entries
+    val byId    = entries.map(e => e.id -> e).toMap
+    val curves  = entries.map(e => e.id -> SparklensEstimator.curve(e.profile, WorkloadRunner.FitGrid)).toMap
+    val folds   = CrossValidation.splits(entries.map(_.id), k = 5, repeats = 10, seed = 7)
+    assert(folds.size == 50)
+    val params = RandomForest.Params()
+    for ((repeat, fold, trainIds, _) <- folds; kind <- PpmKind.all) {
+      val x  = trainIds.map(byId(_).features)
+      val y  = trainIds.map(id => kind.fit(curves(id)).params)
+      val rf = RandomForest.fit(x, y, PlanFeaturizer.featureNames, params)
+      assert(structure(rf) == structure(exhaustiveForest(x, y, params)), s"repeat $repeat fold $fold ${kind.name}")
+    }
   }
 
   test("fits a smooth function with low error on training data") {

@@ -2,6 +2,140 @@ package repro.ml
 
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
+import RegressionTree.{Leaf, Node, Params, Rows, Split, orderByRank}
+
+object RegressionTreeSpec {
+
+  /** [[RegressionTree.grow]] as it was before the bounded sweep: every cut
+    * between distinct values gets the exact gain. The reference the bounded
+    * sweep must match bit for bit.
+    */
+  def exhaustiveGrow(data: Rows, sample: Array[Int], params: Params, rng: Random): Node = {
+    val n         = sample.length
+    val nFeatures = data.nFeatures
+    val nOutputs  = data.nOutputs
+    val targets   = data.targets
+    val columns   = data.columns
+    val ranks     = data.ranks
+
+    // Scratch reused by every node: its rows ordered by the current feature
+    // and by the best feature so far, counting-sort buckets, the targets of
+    // its rows in order, and per-output sums.
+    val order   = new Array[Int](n)
+    val best    = new Array[Int](n)
+    val buckets = new Array[Int](data.size + 1)
+    val ordered = new Array[Double](n * nOutputs)
+    val sumLeft = new Array[Double](nOutputs)
+    val mean    = new Array[Double](nOutputs)
+
+    def gather(rows: Array[Int], m: Int): Unit = {
+      var i = 0
+      var p = 0
+      while (i < m) {
+        var q = rows(i) * nOutputs
+        val end = q + nOutputs
+        while (q < end) { ordered(p) = targets(q); p += 1; q += 1 }
+        i += 1
+      }
+    }
+
+    /** Mean of rows `lo until hi` of `ordered` into `mean`. */
+    def meanOf(lo: Int, hi: Int): Unit = {
+      var o = 0
+      while (o < nOutputs) { mean(o) = 0.0; o += 1 }
+      var p = lo * nOutputs
+      while (p < hi * nOutputs) {
+        var o = 0
+        while (o < nOutputs) { mean(o) += ordered(p + o); o += 1 }
+        p += nOutputs
+      }
+      o = 0
+      while (o < nOutputs) { mean(o) /= (hi - lo); o += 1 }
+    }
+
+    // Summed-across-outputs squared error of rows `lo until hi` of `ordered`
+    // around `mean` — the CART impurity once `mean` is theirs.
+    def deviation(lo: Int, hi: Int): Double = {
+      var s = 0.0
+      var p = lo * nOutputs
+      while (p < hi * nOutputs) {
+        var o = 0
+        while (o < nOutputs) { val d = ordered(p + o) - mean(o); s += d * d; o += 1 }
+        p += nOutputs
+      }
+      s
+    }
+
+    def sse(lo: Int, hi: Int): Double = { meanOf(lo, hi); deviation(lo, hi) }
+
+    def leaf(idx: Array[Int]): Leaf = {
+      gather(idx, idx.length)
+      meanOf(0, idx.length)
+      Leaf(mean.clone())
+    }
+
+    def build(idx: Array[Int], depth: Int): Node = {
+      val m = idx.length
+      if (depth >= params.maxDepth || m < params.minSamplesSplit) return leaf(idx)
+      gather(idx, m)
+      val parentSse = sse(0, m)
+      if (parentSse <= 1e-12) return leaf(idx)
+
+      val nCand = math.min(params.maxFeatures, nFeatures)
+      val candidates =
+        if (nCand >= nFeatures) (0 until nFeatures).toArray
+        else rng.shuffle((0 until nFeatures).toList).take(nCand).toArray
+
+      var bestGain = 0.0
+      var bestFeature = -1
+      var bestThreshold = 0.0
+      var bestCut = 0
+
+      var c = 0
+      while (c < candidates.length) {
+        val f = candidates(c)
+        if (orderByRank(idx, ranks(f), buckets, order)) {
+          gather(order, m)
+          val col = columns(f)
+          var improved = false
+          var o = 0
+          while (o < nOutputs) { sumLeft(o) = 0.0; o += 1 }
+          // Candidate thresholds: midpoints between consecutive distinct values.
+          var i = 0
+          while (i < m - 1) {
+            o = 0
+            while (o < nOutputs) { sumLeft(o) += ordered(i * nOutputs + o); o += 1 }
+            val v0 = col(order(i)); val v1 = col(order(i + 1))
+            val cut = i + 1
+            if (v0 < v1 && cut >= params.minSamplesLeaf && m - cut >= params.minSamplesLeaf) {
+              o = 0
+              while (o < nOutputs) { mean(o) = sumLeft(o) / cut; o += 1 }
+              val sseLeft = deviation(0, cut)
+              val gain    = parentSse - sseLeft - sse(cut, m)
+              if (gain > bestGain + 1e-15) {
+                bestGain = gain; bestFeature = f; bestThreshold = (v0 + v1) / 2.0; bestCut = cut
+                improved = true
+              }
+            }
+            i += 1
+          }
+          if (improved) System.arraycopy(order, 0, best, 0, m)
+        }
+        c += 1
+      }
+
+      if (bestFeature < 0) leaf(idx)
+      else {
+        val left  = java.util.Arrays.copyOfRange(best, 0, bestCut)
+        val right = java.util.Arrays.copyOfRange(best, bestCut, m)
+        Split(bestFeature, bestThreshold, build(left, depth + 1), build(right, depth + 1))
+      }
+    }
+
+    // Depth is counted in node levels: a maxDepth of 1 yields a single leaf.
+    build(sample, depth = 1)
+  }
+}
 
 class RegressionTreeSpec extends AnyFunSuite {
   private def rng = new Random(1)
@@ -39,19 +173,27 @@ class RegressionTreeSpec extends AnyFunSuite {
     assert(math.abs(tree.predict(Array(0.0))(0) - 2.5) < 1e-12)
   }
 
+  /** The path of every leaf of `n`, and the path `x` is routed along. */
+  private def leafPaths(n: Node, path: String = ""): Seq[String] = n match {
+    case _: Leaf           => Seq(path)
+    case Split(_, _, l, r) => leafPaths(l, path + "L") ++ leafPaths(r, path + "R")
+  }
+  private def route(n: Node, x: Array[Double], path: String = ""): String = n match {
+    case _: Leaf             => path
+    case Split(f, thr, l, r) => if (x(f) <= thr) route(l, x, path + "L") else route(r, x, path + "R")
+  }
+
   test("minSamplesLeaf is honoured") {
     val x = (1 to 6).map(i => Array(i.toDouble))
     val y = (1 to 6).map(i => Array(if (i <= 5) 0.0 else 100.0))
     // A leaf of 1 sample would isolate the outlier; minSamplesLeaf=2 forbids it.
     val tree = fitOn(x, y, RegressionTree.Params(minSamplesLeaf = 2))
-    def leaves(n: RegressionTree.Node): Seq[RegressionTree.Leaf] = n match {
-      case l: RegressionTree.Leaf             => Seq(l)
-      case RegressionTree.Split(_, _, l, r)   => leaves(l) ++ leaves(r)
-    }
-    assert(leaves(tree).forall(_ => true)) // structure is valid
+    val rowsPerLeaf = x.groupBy(route(tree, _)).map { case (path, rows) => path -> rows.size }
+    assert(leafPaths(tree).size > 1, "expected at least one split")
+    for (path <- leafPaths(tree)) assert(rowsPerLeaf.getOrElse(path, 0) >= 2, s"leaf $path")
     // Best split under the constraint puts >= 2 samples in each side, so no
     // leaf can predict exactly 100.0 (the singleton).
-    assert(!leaves(tree).exists(_.value(0) == 100.0))
+    assert(!x.exists(tree.predict(_)(0) == 100.0))
   }
 
   test("multi-output: predicts joint means and splits on joint impurity") {
@@ -132,6 +274,96 @@ class RegressionTreeSpec extends AnyFunSuite {
         assert(out.sameElements(idx.sortBy(i => x(i)(0))), s"n=$n spread=$spread")
         assert(split == idx.map(i => x(i)(0)).distinctBy(java.lang.Double.doubleToLongBits).length > 1)
       }
+    }
+  }
+
+  // The bounded sweep against the exhaustive search it replaces: the same
+  // tree, split for split and bit for bit, on data built to stress the
+  // estimate's error bound.
+
+  private def bits(v: Array[Double]): Seq[Long] = v.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  /** Grows a tree on the whole of `x`, `y` and on bootstrap samples of it,
+    * with both searches, and compares structure and leaf bits.
+    */
+  private def assertExhaustive(x: IndexedSeq[Array[Double]], y: IndexedSeq[Array[Double]], params: Params = Params(),
+                               samples: Int = 4, clue: String = ""): Unit = {
+    val rows = new Rows(x, y)
+    val r    = new Random(x.length * 31 + y.head.length)
+    val draws = Array.range(0, x.length) +: Seq.fill(samples)(Array.fill(x.length)(r.nextInt(x.length)))
+    for ((sample, s) <- draws.zipWithIndex) {
+      val got  = RegressionTree.grow(rows, sample, params, new Random(s))
+      val want = RegressionTreeSpec.exhaustiveGrow(rows, sample, params, new Random(s))
+      assert(RandomForestSpec.tree(got) == RandomForestSpec.tree(want), s"$clue sample $s")
+      for (xi <- x) assert(bits(got.predict(xi)) == bits(want.predict(xi)), s"$clue sample $s")
+    }
+  }
+
+  /** `n` rows over `distinct` feature vectors of `width` small integers. */
+  private def tiedFeatures(r: Random, n: Int, width: Int, distinct: Int): IndexedSeq[Array[Double]] = {
+    val vectors = IndexedSeq.fill(distinct)(Array.fill(width)(r.nextInt(6).toDouble))
+    IndexedSeq.fill(n)(vectors(r.nextInt(distinct)).clone())
+  }
+
+  test("bounded sweep = exhaustive search: multi-output targets with a large offset and tiny spread") {
+    val r = new Random(23)
+    for (offset <- Seq(0.0, 1e3, 1e6, -1e6); spread <- Seq(1e-9, 1e-6, 1e-3, 1.0); k <- Seq(1, 2, 3)) {
+      val x = IndexedSeq.fill(120)(Array(r.nextDouble(), r.nextInt(8).toDouble, r.nextInt(3).toDouble))
+      val y = x.map(f => Array.tabulate(k)(o => offset * (o + 1) + spread * (f(1) + o * f(0) + r.nextGaussian())))
+      assertExhaustive(x, y, clue = s"offset $offset spread $spread k $k")
+    }
+  }
+
+  test("bounded sweep = exhaustive search: magnitudes near 1e150, signed zeros and subnormals") {
+    val r = new Random(29)
+    val x = IndexedSeq.fill(90)(Array(r.nextInt(10).toDouble, r.nextDouble(), Seq(-0.0, 0.0, 1.0)(r.nextInt(3))))
+    // 1e150 keeps the slack finite; 1e153 overflows 8m·Σy², so every cut is exact.
+    for (scale <- Seq(1e150, -1e150, 1e153))
+      assertExhaustive(x, x.map(f => Array(scale * (f(0) + r.nextGaussian()), scale * f(1))), clue = s"scale $scale")
+    val tiny = IndexedSeq(0.0, -0.0, Double.MinPositiveValue, -Double.MinPositiveValue, 1e-310, java.lang.Double.MIN_NORMAL)
+    val mixed = x.map(f => Array(tiny(r.nextInt(tiny.size)) + (if (f(0) > 6) f(0) else 0.0), tiny(r.nextInt(tiny.size))))
+    assertExhaustive(x, mixed, clue = "subnormals beside normal values")
+    assertExhaustive(x, x.map(_ => Array(tiny(r.nextInt(tiny.size)))), clue = "subnormals only")
+    assertExhaustive(x, x.map(f => Array(if (f(2) == 0.0) f(2) else 2.0, -f(2))), clue = "signed zeros")
+  }
+
+  test("bounded sweep = exhaustive search: many duplicate feature rows") {
+    val r = new Random(31)
+    for (distinct <- Seq(2, 5, 26); k <- Seq(2, 3)) {
+      val x = tiedFeatures(r, 200, 20, distinct)
+      val y = x.map(f => Array.tabulate(k)(o => 100.0 * f(o) + f(5) * f(7) + r.nextGaussian() * 0.01))
+      assertExhaustive(x, y, clue = s"$distinct distinct vectors, k $k")
+    }
+  }
+
+  test("bounded sweep = exhaustive search: exact ties in the gain") {
+    // Two identical features, a third in reverse order and a palindromic
+    // target: in real arithmetic every cut ties with its mirror image and
+    // with the same cut of the twin feature.
+    val x  = (0 until 8).map(i => Array(i.toDouble, i.toDouble, (7 - i).toDouble))
+    val y  = IndexedSeq(0.0, 4.0, 4.0, 0.0, 0.0, 4.0, 4.0, 0.0).map(v => Array(v, 2 * v))
+    assertExhaustive(x, y, clue = "mirror")
+    val tree = RegressionTree.fit(x, y, Params(), new Random(1))
+    assert(tree.isInstanceOf[Split] && tree.asInstanceOf[Split].feature == 0, "a tie goes to the first feature")
+    // Large magnitudes, where the estimate's rounding is far above 1e-15.
+    assertExhaustive(x, y.map(_.map(_ * 1e7 + 1e9)), clue = "mirror, offset")
+  }
+
+  test("bounded sweep = exhaustive search: minSamplesLeaf, maxFeatures and maxDepth") {
+    val r = new Random(37)
+    val x = tiedFeatures(r, 150, 6, 40).map(f => { f(0) += r.nextDouble(); f })
+    val y = x.map(f => Array(f(0) * f(1) + r.nextGaussian(), 1e4 + f(2) - f(3)))
+    for (leaf <- Seq(2, 3, 7); features <- Seq(2, 6); depth <- Seq(3, Int.MaxValue))
+      assertExhaustive(x, y, Params(maxDepth = depth, minSamplesLeaf = leaf, maxFeatures = features),
+        clue = s"minSamplesLeaf $leaf maxFeatures $features maxDepth $depth")
+  }
+
+  test("bounded sweep = exhaustive search: a NaN or an infinite target") {
+    val r = new Random(41)
+    val x = IndexedSeq.fill(60)(Array(r.nextInt(12).toDouble, r.nextDouble()))
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val y = x.indices.map(i => Array(if (i == 17) bad else x(i)(0) + r.nextGaussian(), x(i)(1)))
+      assertExhaustive(x, y, samples = 12, clue = s"target $bad")
     }
   }
 
