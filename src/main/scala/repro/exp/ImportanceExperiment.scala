@@ -27,13 +27,15 @@ object ImportanceExperiment {
       seed: Long = 5L,
   ): ImportanceResult = {
     val byId = workload.queries.map(q => q.query.id -> q).toMap
+    // Targets: the PPM parameters fitted on each query's Sparklens curve (the
+    // ground truth the model was trained to predict), once per query and kind.
+    val curves = byId.map { case (id, q) => id -> SparklensEstimator.curve(q.profile, WorkloadRunner.FitGrid) }
     val perModel = PpmKind.all.map { kind =>
+      val labels     = curves.map { case (id, c) => id -> kind.fit(c).params }
       val perFeature = Array.fill(PlanFeaturizer.featureNames.size)(0.0)
       folds.zipWithIndex.foreach { case (fold, fi) =>
         val x = fold.testIds.map(id => byId(id).features)
-        // Targets: the PPM parameters fitted on each test query's Sparklens
-        // curve (the ground truth the model was trained to predict).
-        val y = fold.testIds.map(id => kind.fit(SparklensEstimator.curve(byId(id).profile, WorkloadRunner.FitGrid)).params)
+        val y = fold.testIds.map(labels)
         val stds = (0 until y.head.length).map { o =>
           val vals = y.map(_(o)); math.max(Metrics.stddev(vals), 1e-9)
         }

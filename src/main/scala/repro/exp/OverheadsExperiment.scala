@@ -38,9 +38,7 @@ object OverheadsExperiment {
     */
   def run(workload: Workload, spark: Option[SparkSession] = None): Result = {
     val curves = workload.queries.map(q => SparklensEstimator.curve(q.profile, WorkloadRunner.FitGrid))
-    val examples = workload.queries.map { q =>
-      ParameterModel.TrainingExample(q.query.id, q.features, SparklensEstimator.curve(q.profile, WorkloadRunner.FitGrid))
-    }
+    val examples = workload.queries.zip(curves).map { case (q, c) => ParameterModel.TrainingExample(q.query.id, q.features, c) }
 
     val fitMs = PpmKind.all.map { kind =>
       kind -> timeMs(5) { curves.foreach(kind.fit) } / curves.size

@@ -1,6 +1,7 @@
 package repro.exp
 
-import repro.core.{ParameterModel, PlanFeaturizer, PpmKind}
+import repro.Par
+import repro.core.{ParameterModel, PpmKind}
 import repro.exp.CrossValidation.TrainedFold
 import repro.sim.SparklensEstimator
 
@@ -20,23 +21,37 @@ object PredictionExperiment {
   )
 
   def run(workload: Workload, folds: IndexedSeq[TrainedFold], grid: IndexedSeq[Int] = WorkloadRunner.Grid): Result = {
-    val byId   = workload.queries.map(q => q.query.id -> q).toMap
-    val actual = byId.map { case (id, q) => id -> q.actual.toMap }
+    val queries = workload.queries
+    val index   = queries.map(_.query.id).zipWithIndex.toMap
+    def onGrid(curve: IndexedSeq[(Int, Double)]): Array[Double] = { val m = curve.toMap; grid.map(m).toArray }
+    val actual = queries.map(q => onGrid(q.actual))
 
-    // Curves by fold, then query id. Each (fold, kind, query) is scored once
-    // over the whole grid; the E(n) sums below only look curves up.
-    type Curves = IndexedSeq[Map[String, Map[Int, Double]]]
-    def modelCurves(kind: PpmKind): Curves =
-      folds.map(f => (f.trainIds ++ f.testIds).map(id => id -> f.predict(kind, byId(id), grid).toMap).toMap)
-    val sparklens = byId.map { case (id, q) => id -> q.sparklens.toMap }
+    // Curves by fold, then query index, then grid position; null for a
+    // query outside the fold. Each (fold, kind) scores its queries once, in
+    // one parallel fan-out; the E(n) sums below only look curves up.
+    type Curves = IndexedSeq[Array[Array[Double]]]
+    val kinds = IndexedSeq[PpmKind](PpmKind.PowerLaw, PpmKind.Amdahl)
+    val scored = Par.tabulate(folds.size * kinds.size) { j =>
+      val f      = folds(j / kinds.size)
+      val curves = new Array[Array[Double]](queries.size)
+      for (id <- f.trainIds ++ f.testIds) {
+        val i = index(id)
+        curves(i) = f.predict(kinds(j % kinds.size), queries(i), grid).map(_._2).toArray
+      }
+      curves
+    }
+    def modelCurves(c: Int): Curves = folds.indices.map(i => scored(i * kinds.size + c))
+    val sparklens       = queries.map(q => onGrid(q.sparklens)).toArray
     val sCurves: Curves = folds.map(_ => sparklens)
-    val plCurves = modelCurves(PpmKind.PowerLaw)
-    val alCurves = modelCurves(PpmKind.Amdahl)
+    val plCurves        = modelCurves(0)
+    val alCurves        = modelCurves(1)
 
     def series(name: String, ids: TrainedFold => Seq[String], curves: Curves): Series =
-      Series(name, grid.map { n =>
-        val vals = folds.zip(curves).map { case (f, c) => Metrics.eN(ids(f).map(id => (c(id)(n), actual(id)(n)))) }
-        (n, Metrics.mean(vals), Metrics.stddev(vals))
+      Series(name, grid.indices.map { g =>
+        val vals = folds.zip(curves).map { case (f, c) =>
+          Metrics.eN(ids(f).map { id => val i = index(id); (c(i)(g), actual(i)(g)) })
+        }
+        (grid(g), Metrics.mean(vals), Metrics.stddev(vals))
       })
 
     val test = IndexedSeq(
@@ -50,7 +65,7 @@ object PredictionExperiment {
       series("AE_AL", _.trainIds, alCurves),
     )
     val sMean = test.head.byN.map { case (n, m, _) => n -> m }.toMap
-    val gaps = Seq[PpmKind](PpmKind.PowerLaw, PpmKind.Amdahl).map { kind =>
+    val gaps = kinds.map { kind =>
       val mSeries = test.find(_.name == kind.name).get
       kind -> Metrics.mean(mSeries.byN.map { case (n, m, _) => math.abs(m - sMean(n)) })
     }.toMap

@@ -48,7 +48,11 @@ object RegressionTree {
 
   /** Training rows in the layout split search reads: one array per
     * feature, its dense rank keys (see [[denseRanks]]) and the targets
-    * flattened row by row. A forest builds this once for all its trees.
+    * flattened row by row. Rows whose rank keys agree on every feature form
+    * a group, which no split can separate: under `java.lang.Double.compare`,
+    * so `-0.0` and `0.0` fall in different groups and all NaNs in one. Group
+    * ids follow the rank vectors' lexicographic order. A forest builds this
+    * once for all its trees.
     */
   private[ml] final class Rows(x: IndexedSeq[Array[Double]], y: IndexedSeq[Array[Double]]) {
     require(x.nonEmpty && x.length == y.length, s"bad input sizes: ${x.length} vs ${y.length}")
@@ -60,6 +64,37 @@ object RegressionTree {
     val columns: Array[Array[Double]] = Array.tabulate(nFeatures)(f => x.iterator.map(_(f)).toArray)
     val ranks: Array[Array[Int]]      = columns.map(denseRanks)
     val targets: Array[Double]        = y.iterator.flatMap(_.iterator).toArray
+
+    private def compareKeys(a: Int, b: Int): Int = {
+      var f = 0
+      while (f < nFeatures) {
+        val c = Integer.compare(ranks(f)(a), ranks(f)(b))
+        if (c != 0) return c
+        f += 1
+      }
+      0
+    }
+
+    /** Each row's group id. */
+    val groupOf: Array[Int] = new Array[Int](size)
+    val nGroups: Int = {
+      val sorted = Array.range(0, size).sortWith(compareKeys(_, _) < 0)
+      var g = 0
+      for (i <- sorted.indices) {
+        if (i > 0 && compareKeys(sorted(i - 1), sorted(i)) != 0) g += 1
+        groupOf(sorted(i)) = g
+      }
+      g + 1
+    }
+    // A row of each group; its rows differ in value only by NaN payloads.
+    private val member = new Array[Int](nGroups)
+    for (i <- 0 until size) member(groupOf(i)) = i
+
+    /** Per feature, each group's rank key and value. */
+    val groupRanks: Array[Array[Int]]     = ranks.map(r => member.map(r))
+    val groupValues: Array[Array[Double]] = columns.map(c => member.map(c))
+    /** Per feature, the group ids in rank order, ties by id. */
+    val groupsByRank: Array[Array[Int]] = groupRanks.map(r => Array.range(0, nGroups).sortBy(r))
   }
 
   /** Fit a tree on `rows(i) = (features, targets)` using `rng` only for the
@@ -72,26 +107,57 @@ object RegressionTree {
     * repeat, as in a bootstrap sample. The tree is the one [[fit]] gives on
     * `sample.map(x)` and `sample.map(y)`.
     *
-    * A node orders its rows by a feature's rank keys with a stable counting
-    * or insertion sort, and skips a feature that is constant on its rows.
-    * A cut's gain is `parentSse - sseLeft - sseRight`, each side's impurity
-    * summed over an index range of the node's targets in that order around
-    * the side's mean: the same summation order as recomputing each side from
-    * scratch. That exact gain costs O(m·K) for a node of m rows and K
-    * outputs, so `sweep` first estimates each cut of a feature in O(K) from
-    * running sums,
-    * {{{
-    * G' = Σ_o L_o²/c + Σ_o R_o²/r − Σ_o P_o²/m,   R_o = P_o − L_o
-    * }}}
-    * with `L_o` the sum of output `o` over the `c` rows left of the cut,
-    * `R_o` over the `r = m − c` rows right of it and `P_o` over the node. In
-    * real arithmetic `G'` is the gain. A cut gets the exact gain only when
-    * `G' + slack` could beat the best gain so far, and only the exact gain
-    * can replace the best split, so the tree is the one the exhaustive
-    * search builds, bit for bit. Only the winning split is cut into child
-    * index arrays.
+    * The tree is the one the exhaustive CART search builds, bit for bit.
+    * That search orders a node's rows by each candidate feature's rank keys
+    * (a stable sort, ties in the node's row order) and gives every cut
+    * between two rows with `v0 < v1` the gain `parentSse - sseLeft -
+    * sseRight`, each side's impurity summed in that order around the side's
+    * mean; a cut replaces the best split when its gain beats the best by
+    * more than 1e-15. The search here reaches the same split with less work:
+    *  - Groups. A node holds whole groups of [[Rows]], never part of one, so
+    *    it keeps its groups as one range `[lo, hi)` of per-feature arrays of
+    *    the sample's groups in rank order, the same range in every feature's
+    *    array. A split stably partitions the range of each feature that
+    *    varies on the node. A feature varies when the first and last group
+    *    of its range differ in rank; children inherit the subset. A node
+    *    with no varying feature holds one group and becomes a leaf; when
+    *    `maxFeatures` makes nodes draw candidates, it still draws them first,
+    *    so that every later draw is the exhaustive search's.
+    *  - Estimates. Each cut of a varying candidate feature gets the estimate
+    *    {{{
+    *    G' = Σ_o L_o²/c + Σ_o R_o²/r − Σ_o P_o²/m,   R_o = P_o − L_o
+    *    }}}
+    *    in O(K) from running sums over the groups, with `L_o` the sum of
+    *    output `o` over the `c` rows left of the cut, `R_o` over the
+    *    `r = m − c` rows right of it and `P_o` over the node's `m` rows. In
+    *    real arithmetic `G'` is the gain. The sums are taken group by group,
+    *    in an order unlike the exhaustive search's, but the bound below only
+    *    uses that a rounded sum of n values is within (n − 1)·u·Σ|x| of the
+    *    real one, which holds for any order and grouping of the additions.
+    *  - Twins. A candidate that orders the node's groups as an earlier
+    *    candidate does (the same groups in the same order, with rank changes
+    *    and `v0 < v1` at the same places) has the same cuts, and sorts the
+    *    node's rows into the same order, so each of its exact gains repeats
+    *    an earlier one bit for bit. Once the exhaustive search has weighed a
+    *    gain g, the rounded `best + 1e-15` stays at least g, so the repeat
+    *    cannot replace the best: leaving the twin's cuts out of the list
+    *    does not change the split the search picks.
+    *  - Exact scan. The cuts are listed in the exhaustive search's order:
+    *    features in candidate order, cuts ascending. In that search the best
+    *    gain before a cut is 0 or an earlier cut's exact gain, which is at
+    *    most that cut's `G' + slack`. So if a cut d has `G' − slack` above 0
+    *    and above every earlier cut's `G' + slack` by more than 1e-15 (a NaN
+    *    estimate bounds nothing), its exact gain beats whatever was best
+    *    before it and replaces it: the search's state after d does not
+    *    depend on the cuts before d. The scan starts at the last such d (see
+    *    [[scanStart]]). After d, a cut gets the exact gain only when
+    *    `G' + slack` could beat the best gain so far. The exact gain sorts
+    *    the node's rows by the cut's feature, once per feature, and sums in
+    *    that order, as the exhaustive search does. The winner's row order is
+    *    derived again to give the children's rows.
     *
-    * `slack` bounds |gain − G'| for every cut of a node. With u = 2^-53^,
+    * `slack` bounds |gain − G'| for every cut of a node, the computed exact
+    * gain against the computed estimate. With u = 2^-53^,
     * S = Σ y² over the node's rows and outputs, A = Σ |y| of one output
     * over a set of rows, G the cut's gain in real arithmetic, and the
     * standard bounds for rounded sums and products (Higham, ''Accuracy and
@@ -117,7 +183,7 @@ object RegressionTree {
     *    is (4mK + 8m√m + 8m + 8K + 32)·u·Ŝ. Its surplus over the two
     *    bounds, at least (2mK + 4m√m + 4m + 6K + 22)·u·S, covers the
     *    second-order terms, the rounding of Ŝ and of the slack, and the
-    *    rounding of `G' + slack` in the test.
+    *    rounding of `G' ± slack` and of `+ 1e-15` in the tests.
     *  - No overflow or underflow breaks this: the slack is finite only while
     *    2^-900^ ≤ Ŝ and 8m·Ŝ < `Double.MaxValue`. Then no sum or square of
     *    either computation overflows (s² ≤ A² ≤ m·S), and each rounded
@@ -125,34 +191,59 @@ object RegressionTree {
     *    below u·Ŝ.
     *
     * Otherwise (a NaN or infinite target, or targets near either end of the
-    * double range) the slack is +∞ and every cut gets the exact gain. A cut
-    * is skipped only when `G' + slack <= best + 1e-15`, so a cut whose
-    * estimate is NaN gets the exact gain too.
+    * double range) the slack is +∞: no cut qualifies as d and every cut gets
+    * the exact gain. A cut is skipped only when `G' + slack <= best + 1e-15`,
+    * so a cut whose estimate is NaN gets the exact gain too.
     */
   private[ml] def grow(data: Rows, sample: Array[Int], params: Params, rng: Random): Node = {
     val n         = sample.length
     val nFeatures = data.nFeatures
     val nOutputs  = data.nOutputs
     val targets   = data.targets
-    val columns   = data.columns
     val ranks     = data.ranks
 
-    // Scratch reused by every node: its rows ordered by the current feature
-    // and by the best feature so far, counting-sort buckets, the targets of
-    // its rows in order, and per-output sums.
-    val order     = new Array[Int](n)
-    val best      = new Array[Int](n)
-    val buckets   = new Array[Int](data.size + 1)
-    val ordered   = new Array[Double](n * nOutputs)
-    val sumLeft   = new Array[Double](nOutputs)
-    val nodeSum   = new Array[Double](nOutputs)
-    val mean      = new Array[Double](nOutputs)
+    // The sample's groups: the rows each holds, their per-output target
+    // sums, and per feature the groups in rank order.
+    val groupRows = new Array[Int](data.nGroups)
+    val groupSums = new Array[Double](data.nGroups * nOutputs)
+    for (row <- sample) {
+      val g = data.groupOf(row)
+      groupRows(g) += 1
+      var o = 0
+      while (o < nOutputs) { groupSums(g * nOutputs + o) += targets(row * nOutputs + o); o += 1 }
+    }
+    val nGroups  = groupRows.count(_ > 0)
+    val segments = data.groupsByRank.map { byRank =>
+      val seg = new Array[Int](nGroups)
+      var k = 0
+      for (g <- byRank) if (groupRows(g) > 0) { seg(k) = g; k += 1 }
+      seg
+    }
 
-    // The current node's best split so far.
-    var bestGain      = 0.0
-    var bestFeature   = -1
-    var bestThreshold = 0.0
-    var bestCut       = 0
+    // Scratch reused by every node: its rows ordered by a feature,
+    // counting-sort buckets, the targets of its rows in order, per-output
+    // sums, the side of each group, a partition buffer and the candidates
+    // that are no earlier candidate's twin.
+    val order    = new Array[Int](n)
+    val buckets  = new Array[Int](data.size)
+    val ordered  = new Array[Double](n * nOutputs)
+    val sumLeft  = new Array[Double](nOutputs)
+    val nodeSum  = new Array[Double](nOutputs)
+    val mean     = new Array[Double](nOutputs)
+    val goesLeft = new Array[Boolean](data.nGroups)
+    val spill    = new Array[Int](nGroups)
+    val kept     = new Array[Int](nFeatures)
+
+    // The current node's cuts in scan order: feature, index of the first
+    // group right of the cut, rows left of it, and G'.
+    val maxCuts     = nFeatures * math.max(nGroups - 1, 0)
+    val cutFeature  = new Array[Int](maxCuts)
+    val cutGroup    = new Array[Int](maxCuts)
+    val cutRows     = new Array[Int](maxCuts)
+    val cutEstimate = new Array[Double](maxCuts)
+    var nCuts       = 0
+    // The feature `order` and `ordered` hold the current node's rows by.
+    var sortedBy    = -1
 
     def gather(rows: Array[Int], m: Int): Unit = {
       var i = 0
@@ -200,53 +291,116 @@ object RegressionTree {
       Leaf(mean.clone())
     }
 
-    /** Tries every cut of feature `f` over the node's `m` rows in `order`,
-      * giving the exact gain to the cuts whose estimate plus `slack` could
-      * beat the best split so far. `nodeSum` holds the node's P_o and
+    /** Lists the cuts of feature `f` over the node's groups `lo until hi`
+      * with their estimates G'. `nodeSum` holds the node's P_o and
       * `parentTerm` its Σ_o P_o²/m.
       */
-    def sweep(f: Int, m: Int, parentSse: Double, parentTerm: Double, slack: Double): Unit = {
-      val col = columns(f)
-      var gathered = false
-      var improved = false
-      var o = 0
+    def estimate(f: Int, lo: Int, hi: Int, m: Int, parentTerm: Double): Unit = {
+      val seg   = segments(f)
+      val value = data.groupValues(f)
+      var rows  = 0
+      var o     = 0
       while (o < nOutputs) { sumLeft(o) = 0.0; o += 1 }
-      // Candidate thresholds: midpoints between consecutive distinct values.
-      var i = 0
-      while (i < m - 1) {
-        val q = order(i) * nOutputs
+      var j = lo
+      while (j < hi - 1) {
+        val g = seg(j)
+        rows += groupRows(g)
         o = 0
-        while (o < nOutputs) { sumLeft(o) += targets(q + o); o += 1 }
-        val v0 = col(order(i)); val v1 = col(order(i + 1))
-        val cut = i + 1
-        if (v0 < v1 && cut >= params.minSamplesLeaf && m - cut >= params.minSamplesLeaf) {
-          var estimate = 0.0
+        while (o < nOutputs) { sumLeft(o) += groupSums(g * nOutputs + o); o += 1 }
+        // Candidate thresholds: midpoints between consecutive distinct values.
+        if (value(g) < value(seg(j + 1)) && rows >= params.minSamplesLeaf && m - rows >= params.minSamplesLeaf) {
+          var e = 0.0
           o = 0
           while (o < nOutputs) {
             val l = sumLeft(o); val r = nodeSum(o) - l
-            estimate += l * l / cut + r * r / (m - cut)
+            e += l * l / rows + r * r / (m - rows)
             o += 1
           }
-          if (!(estimate - parentTerm + slack <= bestGain + 1e-15)) {
-            if (!gathered) { gather(order, m); gathered = true }
-            o = 0
-            while (o < nOutputs) { mean(o) = sumLeft(o) / cut; o += 1 }
-            val sseLeft = deviation(0, cut)
-            val gain    = parentSse - sseLeft - sse(cut, m)
-            if (gain > bestGain + 1e-15) {
-              bestGain = gain; bestFeature = f; bestThreshold = (v0 + v1) / 2.0; bestCut = cut
-              improved = true
-            }
-          }
+          cutFeature(nCuts) = f; cutGroup(nCuts) = j + 1; cutRows(nCuts) = rows; cutEstimate(nCuts) = e - parentTerm
+          nCuts += 1
         }
-        i += 1
+        j += 1
       }
-      if (improved) System.arraycopy(order, 0, best, 0, m)
     }
 
-    def build(idx: Array[Int], depth: Int): Node = {
+    /** Writes the node's rows `idx` ordered by feature `f`, ties in `idx`
+      * order, to `order`: a stable counting sort on the rank keys, each
+      * key's bucket placed from the node's groups `lo until hi` in `f`'s
+      * rank order.
+      */
+    def sortRows(idx: Array[Int], f: Int, lo: Int, hi: Int): Unit = {
+      val seg  = segments(f)
+      val rank = data.groupRanks(f)
+      val base = rank(seg(lo))
+      var pos  = 0
+      var j    = lo
+      while (j < hi) {
+        val g = seg(j)
+        if (j == lo || rank(g) != rank(seg(j - 1))) buckets(rank(g) - base) = pos
+        pos += groupRows(g)
+        j += 1
+      }
+      val key = ranks(f)
+      var i = 0
+      while (i < idx.length) { val b = key(idx(i)) - base; order(buckets(b)) = idx(i); buckets(b) += 1; i += 1 }
+      sortedBy = f
+    }
+
+    /** The exact gain of cut `k` of the node with rows `idx` and groups `lo until hi`. */
+    def exactGain(idx: Array[Int], lo: Int, hi: Int, k: Int, parentSse: Double): Double = {
+      if (cutFeature(k) != sortedBy) { sortRows(idx, cutFeature(k), lo, hi); gather(order, idx.length) }
+      val c       = cutRows(k)
+      val sseLeft = sse(0, c)
+      parentSse - sseLeft - sse(c, idx.length)
+    }
+
+    /** Whether features `f` and `h` are twins on the groups `lo until hi`:
+      * the same groups in the same order, with rank changes and `v0 < v1`
+      * at the same places.
+      */
+    def sameOrder(f: Int, h: Int, lo: Int, hi: Int): Boolean = {
+      val a  = segments(f);          val b  = segments(h)
+      val ra = data.groupRanks(f);  val rb = data.groupRanks(h)
+      val va = data.groupValues(f); val vb = data.groupValues(h)
+      if (a(lo) != b(lo)) return false
+      var j = lo + 1
+      while (j < hi) {
+        val p = a(j - 1); val g = a(j)
+        if (g != b(j) || (ra(p) != ra(g)) != (rb(p) != rb(g)) || (va(p) < va(g)) != (vb(p) < vb(g))) return false
+        j += 1
+      }
+      true
+    }
+
+    /** Stably moves the groups of `seg(lo until hi)` that go left to its front. */
+    def partition(seg: Array[Int], lo: Int, hi: Int): Unit = {
+      var w = lo
+      var k = 0
+      var j = lo
+      while (j < hi) {
+        val g = seg(j)
+        if (goesLeft(g)) { seg(w) = g; w += 1 } else { spill(k) = g; k += 1 }
+        j += 1
+      }
+      System.arraycopy(spill, 0, seg, w, k)
+    }
+
+    def build(idx: Array[Int], lo: Int, hi: Int, inherited: Array[Int], depth: Int): Node = {
       val m = idx.length
       if (depth >= params.maxDepth || m < params.minSamplesSplit) return leaf(idx)
+      val varying = {
+        val out = new Array[Int](inherited.length)
+        var k = 0
+        for (f <- inherited) {
+          val seg = segments(f); val rank = data.groupRanks(f)
+          if (rank(seg(lo)) != rank(seg(hi - 1))) { out(k) = f; k += 1 }
+        }
+        java.util.Arrays.copyOf(out, k)
+      }
+      val nCand = math.min(params.maxFeatures, nFeatures)
+      // One group: no cut exists. With a feature draw the node still draws
+      // below, so that later nodes draw what the exhaustive search draws.
+      if (varying.isEmpty && nCand >= nFeatures) return leaf(idx)
       gather(idx, m)
       val parentSse = sse(0, m)
       if (parentSse <= 1e-12) return leaf(idx)
@@ -268,29 +422,74 @@ object RegressionTree {
           (m * nOutputs + 2 * m * math.sqrt(m) + 2 * m + 2 * nOutputs + 8) * TwoPowMinus51 * squares
         else Double.PositiveInfinity
 
-      val nCand = math.min(params.maxFeatures, nFeatures)
       val candidates =
-        if (nCand >= nFeatures) (0 until nFeatures).toArray
+        if (nCand >= nFeatures) varying
         else rng.shuffle((0 until nFeatures).toList).take(nCand).toArray
+          .filter(java.util.Arrays.binarySearch(varying, _) >= 0)
 
-      bestGain = 0.0; bestFeature = -1; bestThreshold = 0.0; bestCut = 0
+      // Cuts of the candidates, skipping a twin of an earlier one.
+      nCuts = 0
+      var nKept = 0
       var c = 0
       while (c < candidates.length) {
         val f = candidates(c)
-        if (orderByRank(idx, ranks(f), buckets, order)) sweep(f, m, parentSse, parentTerm, slack)
+        var e = 0
+        while (e < nKept && !sameOrder(kept(e), f, lo, hi)) e += 1
+        if (e == nKept) { kept(nKept) = f; nKept += 1; estimate(f, lo, hi, m, parentTerm) }
         c += 1
       }
 
-      if (bestFeature < 0) leaf(idx)
-      else {
-        val left  = java.util.Arrays.copyOfRange(best, 0, bestCut)
-        val right = java.util.Arrays.copyOfRange(best, bestCut, m)
-        Split(bestFeature, bestThreshold, build(left, depth + 1), build(right, depth + 1))
+      sortedBy = -1
+      var best     = scanStart(cutEstimate, nCuts, slack)
+      var bestGain = if (best >= 0) exactGain(idx, lo, hi, best, parentSse) else 0.0
+      var k = best + 1
+      while (k < nCuts) {
+        if (!(cutEstimate(k) + slack <= bestGain + 1e-15)) {
+          val gain = exactGain(idx, lo, hi, k, parentSse)
+          if (gain > bestGain + 1e-15) { bestGain = gain; best = k }
+        }
+        k += 1
       }
+      if (best < 0) return leaf(idx)
+
+      val f   = cutFeature(best)
+      val seg = segments(f)
+      val mid = cutGroup(best)
+      if (f != sortedBy) sortRows(idx, f, lo, hi)
+      val left  = java.util.Arrays.copyOfRange(order, 0, cutRows(best))
+      val right = java.util.Arrays.copyOfRange(order, cutRows(best), m)
+      var j = lo
+      while (j < hi) { goesLeft(seg(j)) = j < mid; j += 1 }
+      c = 0
+      while (c < varying.length) { if (varying(c) != f) partition(segments(varying(c)), lo, hi); c += 1 }
+      val value = data.groupValues(f)
+      Split(f, (value(seg(mid - 1)) + value(seg(mid))) / 2.0,
+        build(left, lo, mid, varying, depth + 1), build(right, mid, hi, varying, depth + 1))
     }
 
     // Depth is counted in node levels: a maxDepth of 1 yields a single leaf.
-    build(sample, depth = 1)
+    build(sample, 0, nGroups, Array.range(0, nFeatures), depth = 1)
+  }
+
+  /** Where the exact scan of a node's cuts may start, given their estimates
+    * G' in scan order and the node's slack: the last cut whose `G' − slack`
+    * beats 0 and every earlier cut's `G' + slack` by more than 1e-15, or -1
+    * if none does. A NaN estimate bounds nothing, so no cut after it
+    * qualifies. See [[grow]] for why the scan may start there.
+    */
+  private[ml] def scanStart(estimates: Array[Double], nCuts: Int, slack: Double): Int = {
+    var upper = 0.0
+    var d     = -1
+    var k     = 0
+    while (k < nCuts) {
+      val e = estimates(k)
+      if (e - slack > upper + 1e-15) d = k
+      val u = e + slack
+      if (u.isNaN) upper = Double.PositiveInfinity
+      else if (u > upper) upper = u
+      k += 1
+    }
+    d
   }
 
   private val TwoPowMinus51  = java.lang.Math.scalb(1.0, -51)
@@ -309,51 +508,5 @@ object RegressionTree {
       i += 1
     }
     col.map(v => java.util.Arrays.binarySearch(distinct, 0, k, v))
-  }
-
-  /** Writes `idx` ordered by `rank`, ties kept in input order, to
-    * `out(0 until idx.length)` and returns true; returns false and leaves
-    * `out` alone when all of `idx` share one key. A stable counting sort
-    * over the key range, or an insertion sort when the range is wide for
-    * this few rows. `buckets` needs one more entry than the key range.
-    */
-  private[ml] def orderByRank(idx: Array[Int], rank: Array[Int], buckets: Array[Int], out: Array[Int]): Boolean = {
-    val m = idx.length
-    var lo = Int.MaxValue
-    var hi = Int.MinValue
-    var i = 0
-    while (i < m) { val k = rank(idx(i)); if (k < lo) lo = k; if (k > hi) hi = k; i += 1 }
-    if (lo >= hi) return false
-    val range = hi - lo + 1
-    if (range < m.toLong * m / 4) {
-      java.util.Arrays.fill(buckets, 0, range + 1, 0)
-      i = 0
-      while (i < m) { buckets(rank(idx(i)) - lo + 1) += 1; i += 1 }
-      var b = 1
-      while (b < range) { buckets(b) += buckets(b - 1); b += 1 }
-      i = 0
-      while (i < m) { val k = rank(idx(i)) - lo; out(buckets(k)) = idx(i); buckets(k) += 1; i += 1 }
-    } else {
-      System.arraycopy(idx, 0, out, 0, m)
-      i = 1
-      while (i < m) {
-        val id = out(i); val k = rank(id)
-        var j = i - 1
-        while (j >= 0 && rank(out(j)) > k) { out(j + 1) = out(j); j -= 1 }
-        out(j + 1) = id
-        i += 1
-      }
-    }
-    true
-  }
-
-  /** `idx` ordered by feature `f`, ties kept in input order: the order
-    * `idx.sortBy(i => x(i)(f))` gives, without boxing, and the order [[fit]]
-    * gives a node's rows.
-    */
-  private[ml] def sortByFeature(idx: Array[Int], x: IndexedSeq[Array[Double]], f: Int): Array[Int] = {
-    val out = idx.clone()
-    orderByRank(idx, denseRanks(Array.tabulate(x.length)(i => x(i)(f))), new Array[Int](x.length + 1), out)
-    out
   }
 }

@@ -2,13 +2,59 @@ package repro.ml
 
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
-import RegressionTree.{Leaf, Node, Params, Rows, Split, orderByRank}
+import RegressionTree.{Leaf, Node, Params, Rows, Split, denseRanks}
 
 object RegressionTreeSpec {
 
-  /** [[RegressionTree.grow]] as it was before the bounded sweep: every cut
-    * between distinct values gets the exact gain. The reference the bounded
-    * sweep must match bit for bit.
+  /** The row sort of [[exhaustiveGrow]]. Writes `idx` ordered by `rank`,
+    * ties kept in input order, to `out(0 until idx.length)` and returns
+    * true; returns false and leaves `out` alone when all of `idx` share one
+    * key. A stable counting sort over the key range, or an insertion sort
+    * when the range is wide for this few rows. `buckets` needs one more
+    * entry than the key range.
+    */
+  def orderByRank(idx: Array[Int], rank: Array[Int], buckets: Array[Int], out: Array[Int]): Boolean = {
+    val m = idx.length
+    var lo = Int.MaxValue
+    var hi = Int.MinValue
+    var i = 0
+    while (i < m) { val k = rank(idx(i)); if (k < lo) lo = k; if (k > hi) hi = k; i += 1 }
+    if (lo >= hi) return false
+    val range = hi - lo + 1
+    if (range < m.toLong * m / 4) {
+      java.util.Arrays.fill(buckets, 0, range + 1, 0)
+      i = 0
+      while (i < m) { buckets(rank(idx(i)) - lo + 1) += 1; i += 1 }
+      var b = 1
+      while (b < range) { buckets(b) += buckets(b - 1); b += 1 }
+      i = 0
+      while (i < m) { val k = rank(idx(i)) - lo; out(buckets(k)) = idx(i); buckets(k) += 1; i += 1 }
+    } else {
+      System.arraycopy(idx, 0, out, 0, m)
+      i = 1
+      while (i < m) {
+        val id = out(i); val k = rank(id)
+        var j = i - 1
+        while (j >= 0 && rank(out(j)) > k) { out(j + 1) = out(j); j -= 1 }
+        out(j + 1) = id
+        i += 1
+      }
+    }
+    true
+  }
+
+  /** `idx` ordered by feature `f`, ties kept in input order: the order
+    * `idx.sortBy(i => x(i)(f))` gives, without boxing.
+    */
+  def sortByFeature(idx: Array[Int], x: IndexedSeq[Array[Double]], f: Int): Array[Int] = {
+    val out = idx.clone()
+    orderByRank(idx, denseRanks(Array.tabulate(x.length)(i => x(i)(f))), new Array[Int](x.length + 1), out)
+    out
+  }
+
+  /** The exhaustive CART search, row by row: every node sorts its rows by
+    * every candidate feature and every cut between distinct values gets the
+    * exact gain. The reference [[RegressionTree.grow]] must match bit for bit.
     */
   def exhaustiveGrow(data: Rows, sample: Array[Int], params: Params, rng: Random): Node = {
     val n         = sample.length
@@ -243,14 +289,14 @@ class RegressionTreeSpec extends AnyFunSuite {
       val x   = IndexedSeq.fill(n)(Array(values(r.nextInt(spread)), r.nextGaussian()))
       val idx = Array.fill(n)(r.nextInt(n))
       for (f <- 0 until 2)
-        assert(RegressionTree.sortByFeature(idx, x, f).sameElements(idx.sortBy(i => x(i)(f))), s"n=$n spread=$spread f=$f")
+        assert(RegressionTreeSpec.sortByFeature(idx, x, f).sameElements(idx.sortBy(i => x(i)(f))), s"n=$n spread=$spread f=$f")
     }
   }
 
   test("sortByFeature orders -0.0 before 0.0 and leaves its input untouched") {
     val x   = IndexedSeq(Array(0.0), Array(-0.0), Array(-1.0), Array(0.0), Array(-0.0))
     val idx = Array(0, 1, 2, 3, 4)
-    assert(RegressionTree.sortByFeature(idx, x, 0).sameElements(Array(2, 1, 4, 0, 3)))
+    assert(RegressionTreeSpec.sortByFeature(idx, x, 0).sameElements(Array(2, 1, 4, 0, 3)))
     assert(idx.sameElements(Array(0, 1, 2, 3, 4)))
   }
 
@@ -261,7 +307,7 @@ class RegressionTreeSpec extends AnyFunSuite {
       val values = IndexedSeq(-0.0, 0.0) ++ IndexedSeq.fill(spread)(math.floor(r.nextGaussian() * 4) / 2)
       val col    = Array.fill(n)(values(r.nextInt(values.size)))
       val x      = col.map(v => Array(v)).toIndexedSeq
-      val rank   = RegressionTree.denseRanks(col)
+      val rank   = denseRanks(col)
       for (draw <- 0 until 6) {
         // Rows in random order, as a node holds them: distinct, or repeating
         // as in a bootstrap sample.
@@ -270,7 +316,7 @@ class RegressionTreeSpec extends AnyFunSuite {
           if (draw % 2 == 0) r.shuffle((0 until n).toList).take(size).toArray
           else Array.fill(size)(r.nextInt(n))
         val out = idx.clone()
-        val split = RegressionTree.orderByRank(idx, rank, new Array[Int](n + 1), out)
+        val split = RegressionTreeSpec.orderByRank(idx, rank, new Array[Int](n + 1), out)
         assert(out.sameElements(idx.sortBy(i => x(i)(0))), s"n=$n spread=$spread")
         assert(split == idx.map(i => x(i)(0)).distinctBy(java.lang.Double.doubleToLongBits).length > 1)
       }
@@ -365,6 +411,109 @@ class RegressionTreeSpec extends AnyFunSuite {
       val y = x.indices.map(i => Array(if (i == 17) bad else x(i)(0) + r.nextGaussian(), x(i)(1)))
       assertExhaustive(x, y, samples = 12, clue = s"target $bad")
     }
+  }
+
+  test("grouped search = exhaustive search: every feature vector distinct") {
+    val r = new Random(43)
+    for (n <- Seq(40, 150); k <- Seq(1, 3)) {
+      val x = IndexedSeq.fill(n)(Array.fill(5)(r.nextGaussian()))
+      val y = x.map(f => Array.tabulate(k)(o => f(o) * f(4) + 3.0 * f(2) + r.nextGaussian() * 0.1))
+      assertExhaustive(x, y, clue = s"$n rows, k $k")
+      assertExhaustive(x, y, Params(minSamplesLeaf = 3, maxFeatures = 2), clue = s"$n rows, k $k, minSamplesLeaf 3, maxFeatures 2")
+    }
+  }
+
+  test("grouped search = exhaustive search: features constant on whole subtrees, maxFeatures < nFeatures") {
+    // Feature 0 picks a region; in each region only two other features
+    // vary and the rest hold a per-region constant. Repeated vectors with
+    // noisy targets make one-group nodes that still draw their features.
+    val r = new Random(47)
+    val vectors = IndexedSeq.tabulate(30) { v =>
+      val region = v % 3
+      Array.tabulate(12)(f => if (f == 0) region.toDouble else if ((f - 1) / 2 == region) r.nextInt(4).toDouble else region * 10.0 + f)
+    }
+    val x = IndexedSeq.fill(160)(vectors(r.nextInt(vectors.size)).clone())
+    val y = x.map(f => Array(f(0) * 5 + f(1 + 2 * f(0).toInt) + r.nextGaussian(), f(2 + 2 * f(0).toInt) + r.nextGaussian()))
+    for (features <- Seq(1, 3, 6, 11))
+      assertExhaustive(x, y, Params(maxFeatures = features), samples = 8, clue = s"maxFeatures $features")
+  }
+
+  test("grouped search = exhaustive search: a late cut beats every earlier one by a wide margin") {
+    // Features 0-2 are noise; feature 3 separates the targets by 1000 in
+    // its middle, with cuts of feature 3 and of feature 4 after it.
+    val r = new Random(53)
+    val x = IndexedSeq.fill(80)(Array.fill(5)(r.nextInt(9).toDouble))
+    val y = x.map(f => Array((if (f(3) < 4) 0.0 else 1000.0) + r.nextGaussian(), f(4) + r.nextGaussian()))
+    assertExhaustive(x, y, clue = "finite targets")
+    val tree = RegressionTree.fit(x, y, Params(), new Random(1))
+    assert(tree.isInstanceOf[Split] && tree.asInstanceOf[Split].feature == 3, "the root splits on feature 3")
+    // A NaN target makes its nodes' slack infinite and their estimates NaN,
+    // so no cut there can start the scan; nodes without it still skip ahead.
+    val withNaN = y.indices.map(i => if (i == 5) Array(Double.NaN, y(i)(1)) else y(i))
+    assertExhaustive(x, withNaN, samples = 12, clue = "a NaN target")
+  }
+
+  test("grouped search = exhaustive search: twin features and near-twins") {
+    // Feature 1 copies feature 0 and feature 2 orders like it: twins. Feature
+    // 3 splits feature 0's zeros into -0.0 and 0.0 (a rank change without a
+    // cut), feature 4 maps its 5s to NaN (a rank change without a cut) and
+    // feature 5 reverses it: none of these is a twin of feature 0.
+    val r = new Random(59)
+    val x = IndexedSeq.fill(150) {
+      val a = r.nextInt(6).toDouble
+      Array(a, a, math.exp(a), if (a == 0.0 && r.nextBoolean()) -0.0 else a, if (a == 5.0) Double.NaN else a, -a, r.nextInt(3).toDouble)
+    }
+    for (offset <- Seq(0.0, 1e7)) {
+      val y = x.map(f => Array(offset + f(0) * f(0) + f(6) + r.nextGaussian() * 0.1, offset - 2 * f(0) + r.nextGaussian()))
+      assertExhaustive(x, y, samples = 8, clue = s"offset $offset")
+      assertExhaustive(x, y, Params(maxFeatures = 3), samples = 8, clue = s"offset $offset, maxFeatures 3")
+    }
+  }
+
+  test("grouped search = exhaustive search: no cut gains anything, estimated with large rounding error") {
+    // Both sides of every cut hold the same targets, so every gain is 0 in
+    // real arithmetic. The offset makes the estimates off by far more than
+    // 1e-15, so only a lower bound that subtracts the slack keeps the scan
+    // from starting at a cut the exhaustive search would not take.
+    val x = IndexedSeq.tabulate(12)(i => Array((i % 4).toDouble, (i % 2).toDouble))
+    for (offset <- Seq(1e6, -1e6, 3e6, 1e7, 7e7, 1e8)) {
+      val y = x.indices.map(i => Array(offset + (i / 4) * 1e-3, offset - (i / 4) * 2e-3))
+      assertExhaustive(x, y, samples = 8, clue = s"offset $offset")
+    }
+  }
+
+  test("scanStart: the last cut whose lower bound beats every earlier upper bound") {
+    import RegressionTree.scanStart
+    assert(scanStart(Array(1.0, 2.0, 100.0, 3.0, 99.0), 5, 0.5) == 2)
+    assert(scanStart(Array(1.0, 2.0, 100.0, 3.0, 99.0), 3, 0.5) == 2)
+    assert(scanStart(Array(1.0, 2.0, 100.0, 3.0, 101.5), 5, 0.5) == 4)
+    // The lower bound subtracts the slack: 1.8 - 0.5 does not beat 1.0 + 0.5.
+    assert(scanStart(Array(1.0, 1.8), 2, 0.5) == 0)
+    assert(scanStart(Array(1.0, 2.0 + 1e-9), 2, 0.5) == 1)
+    // It must beat 0 and the earlier bounds by more than 1e-15.
+    assert(scanStart(Array(0.5), 1, 0.5) == -1)
+    assert(scanStart(Array(0.0, 1.0), 2, 0.5) == -1)
+    assert(scanStart(Array(0.0, 1.0 + 1e-9), 2, 0.5) == 1)
+    assert(scanStart(Array(-5.0, 0.4, 1.0), 3, 0.0) == 2)
+    // A NaN estimate bounds nothing: no cut after it qualifies.
+    assert(scanStart(Array(1.0, Double.NaN, 100.0), 3, 0.5) == 0)
+    assert(scanStart(Array(Double.NaN, 100.0), 2, 0.5) == -1)
+    assert(scanStart(Array(1.0, 100.0), 2, Double.PositiveInfinity) == -1)
+    assert(scanStart(Array.emptyDoubleArray, 0, 0.5) == -1)
+  }
+
+  test("Rows groups rows by their rank keys: -0.0 and 0.0 apart, every NaN together") {
+    val otherNaN = java.lang.Double.longBitsToDouble(0x7ff8000000000001L)
+    val x = IndexedSeq(Array(0.0, 1.0), Array(-0.0, 1.0), Array(Double.NaN, 1.0), Array(otherNaN, 1.0), Array(0.0, 1.0), Array(0.0, 2.0))
+    val rows = new Rows(x, x.map(_ => Array(0.0)))
+    val g = rows.groupOf
+    assert(rows.nGroups == 4)
+    assert(g(0) == g(4) && g(2) == g(3))
+    assert(Seq(g(0), g(1), g(2), g(5)).distinct.size == 4)
+    // Feature 0 in rank order: -0.0, then both groups at 0.0 (by id), then NaN.
+    assert(rows.groupsByRank(0).map(rows.groupValues(0)(_)).map(java.lang.Double.doubleToLongBits).toSeq ==
+      Seq(-0.0, 0.0, 0.0, Double.NaN).map(java.lang.Double.doubleToLongBits))
+    assert(rows.groupsByRank(1).map(rows.groupRanks(1)(_)).toSeq == Seq(0, 0, 0, 1))
   }
 
   test("maxFeatures = 1 still fits (feature subsampling)") {
