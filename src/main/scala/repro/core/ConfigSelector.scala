@@ -9,9 +9,6 @@ package repro.core
   */
 object ConfigSelector {
 
-  /** The paper's evaluated executor grid (§5.1). */
-  val PaperGrid: IndexedSeq[Int] = IndexedSeq(1, 3, 8, 16, 32, 48)
-
   /** Piecewise-linear interpolation of `(n, t)` samples onto every integer
     * `n` in `[min, max]` of the sampled grid (§5.3).
     */

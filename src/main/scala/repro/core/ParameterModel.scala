@@ -15,12 +15,9 @@ import repro.ml.{RandomForest, RegressionTree}
   * evaluated through the predicted PPM function, not the model.
   */
 final case class ParameterModel(
-    kindName: String,
+    kind: PpmKind,
     forest: RandomForest,
 ) {
-
-  def kind: PpmKind = PpmKind.all.find(_.name == kindName)
-    .getOrElse(throw new IllegalArgumentException(s"unknown PPM kind $kindName"))
 
   /** Score once, instantiate the predicted PPM. */
   def predictPpm(features: Array[Double]): Ppm = kind.fromParams(forest.predict(features))
@@ -64,7 +61,7 @@ object ParameterModel {
     require(examples.nonEmpty, "cannot train on an empty workload")
     val x = examples.map(_.features)
     val y = examples.map(e => kind.fit(e.curve).params)
-    ParameterModel(kind.name, RandomForest.fit(x, y, featureNames, rfParams))
+    ParameterModel(kind, RandomForest.fit(x, y, featureNames, rfParams))
   }
 
   private val Magic   = "repro-model"
@@ -120,7 +117,7 @@ object ParameterModel {
         if (tokens.hasNext) fail(s"tree $t has tokens after its last node")
         root
       }
-      ParameterModel(kind.name, RandomForest(trees, featureNames, nOutputs))
+      ParameterModel(kind, RandomForest(trees, featureNames, nOutputs))
     } catch { case e: NumberFormatException => fail(s"bad number: ${e.getMessage}") }
   }
 }

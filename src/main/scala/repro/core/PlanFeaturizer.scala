@@ -91,9 +91,11 @@ object PlanFeaturizer {
   /** Convenience: featurize the optimized plan of a DataFrame / SQL query. */
   def featurize(df: DataFrame): Array[Double] = featurize(df.queryExecution.optimizedPlan)
 
+  private val featureIndex: Map[String, Int] = featureNames.zipWithIndex.toMap
+
   /** Project a full feature vector onto a named subset (ablation studies). */
   def project(full: Array[Double], subset: IndexedSeq[String]): Array[Double] = {
-    require(subset.forall(featureNames.contains), s"unknown features: ${subset.filterNot(featureNames.contains)}")
-    subset.map(n => full(featureNames.indexOf(n))).toArray
+    require(subset.forall(featureIndex.contains), s"unknown features: ${subset.filterNot(featureIndex.contains)}")
+    subset.map(n => full(featureIndex(n))).toArray
   }
 }

@@ -39,19 +39,17 @@ object AllocationExperiment {
     /** Workload-level AUC saving: 1 - ΣAUC_rule / ΣAUC_other. */
     def aucSavingVsDa: Double   = 1.0 - rows.map(_.rule.aucExecSec).sum / rows.map(_.da.aucExecSec).sum
     def aucSavingVsSa48: Double = 1.0 - rows.map(_.rule.aucExecSec).sum / rows.map(_.sa48.aucExecSec).sum
-    /** Mean slowdown of Rule relative to the policy (paper: 4% vs DA, 16% vs SA). */
-    def slowdownVsDa: Double   = Metrics.mean(rows.map(r => r.rule.elapsedMs / r.da.elapsedMs)) - 1.0
-    def slowdownVsSa48: Double = Metrics.mean(rows.map(r => r.rule.elapsedMs / r.sa48.elapsedMs)) - 1.0
+    /** Mean slowdown of Rule relative to DA (paper: 4%). */
+    def slowdownVsDa: Double = Metrics.mean(rows.map(r => r.rule.elapsedMs / r.da.elapsedMs)) - 1.0
   }
 
   /** Predicted Rule executor counts: each query is in exactly one test fold
     * of the chosen repeat; AE_PL curve evaluated on [1,48], H = 1.05.
     */
   def predictedCounts(workload: Workload, folds: IndexedSeq[TrainedFold], repeat: Int = 0, h: Double = 1.05): Map[String, Int] = {
-    val byId = workload.queries.map(q => q.query.id -> q).toMap
     folds.filter(_.repeat == repeat).flatMap { fold =>
       fold.testIds.map { id =>
-        val curve = fold.predict(PpmKind.PowerLaw, byId(id), SelectionExperiment.FullRange)
+        val curve = fold.predict(PpmKind.PowerLaw, workload.byId(id), SelectionExperiment.FullRange)
         id -> ConfigSelector.limitedSlowdown(curve, h)
       }
     }.toMap

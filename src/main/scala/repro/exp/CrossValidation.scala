@@ -4,7 +4,6 @@ import scala.util.Random
 import repro.Par
 import repro.core.{ParameterModel, PlanFeaturizer, PpmKind}
 import repro.ml.RandomForest
-import repro.sim.SparklensEstimator
 
 /** 10-repeated 5-fold cross-validation over query ids (paper §5.1): each
   * repeat shuffles the queries into k folds; each fold's queries form the
@@ -47,7 +46,7 @@ object CrossValidation {
 
   /** Train parameter models for every (repeat, fold) split.
     *
-    * Labels come from PPM fits to Sparklens estimates over `fitGrid`
+    * Labels come from PPM fits to each query's [[QueryData.labelCurve]]
     * (the paper's training-data augmentation, §4.1); features may be
     * restricted to a subset (ablation study, §5.7).
     */
@@ -58,20 +57,13 @@ object CrossValidation {
       repeats: Int = 10,
       seed: Long = 7L,
       featureSubset: IndexedSeq[String] = PlanFeaturizer.featureNames,
-      fitGrid: IndexedSeq[Int] = WorkloadRunner.FitGrid,
       rfParams: RandomForest.Params = RandomForest.Params(),
   ): IndexedSeq[TrainedFold] = {
-    val byId = workload.queries.map(q => q.query.id -> q).toMap
-    // Label curves are pure in the profile: one per query, shared by all folds.
-    val labelCurve = byId.map { case (id, q) => id -> SparklensEstimator.curve(q.profile, fitGrid) }
     val folds = splits(workload.queries.map(_.query.id), k, repeats, seed)
     val examples = folds.map { case (_, _, trainIds, _) =>
       trainIds.map { id =>
-        ParameterModel.TrainingExample(
-          queryId = id,
-          features = PlanFeaturizer.project(byId(id).features, featureSubset),
-          curve = labelCurve(id),
-        )
+        val q = workload.byId(id)
+        ParameterModel.TrainingExample(id, PlanFeaturizer.project(q.features, featureSubset), q.labelCurve)
       }
     }
     // Every (fold, kind) forest in one fan-out; model j is fold j / kinds.size.

@@ -3,7 +3,6 @@ package repro.exp
 import repro.core.{PlanFeaturizer, PpmKind}
 import repro.exp.CrossValidation.TrainedFold
 import repro.ml.RandomForest
-import repro.sim.SparklensEstimator
 
 /** T8 — Figure 15 + §5.7: permutation feature importance of the parameter
   * models on the testing datasets, plus the F0–F3 feature-ablation study.
@@ -26,15 +25,13 @@ object ImportanceExperiment {
       nRepeats: Int = 100,
       seed: Long = 5L,
   ): ImportanceResult = {
-    val byId = workload.queries.map(q => q.query.id -> q).toMap
-    // Targets: the PPM parameters fitted on each query's Sparklens curve (the
-    // ground truth the model was trained to predict), once per query and kind.
-    val curves = byId.map { case (id, q) => id -> SparklensEstimator.curve(q.profile, WorkloadRunner.FitGrid) }
     val perModel = PpmKind.all.map { kind =>
-      val labels     = curves.map { case (id, c) => id -> kind.fit(c).params }
+      // Targets: the PPM parameters fitted on each query's label curve (the
+      // ground truth the model was trained to predict), once per query and kind.
+      val labels     = workload.queries.map(q => q.query.id -> kind.fit(q.labelCurve).params).toMap
       val perFeature = Array.fill(PlanFeaturizer.featureNames.size)(0.0)
       folds.zipWithIndex.foreach { case (fold, fi) =>
-        val x = fold.testIds.map(id => byId(id).features)
+        val x = fold.testIds.map(id => workload.byId(id).features)
         val y = fold.testIds.map(labels)
         val stds = (0 until y.head.length).map { o =>
           val vals = y.map(_(o)); math.max(Metrics.stddev(vals), 1e-9)
@@ -90,24 +87,13 @@ object ImportanceExperiment {
       seed: Long = 7L,
       grid: IndexedSeq[Int] = WorkloadRunner.Grid,
   ): AblationResult = {
-    val byId = workload.queries.map(q => q.query.id -> q).toMap
-    val e = (for {
+    val e = for {
       (setName, subset) <- FeatureSets
       folds = CrossValidation.trainFolds(workload, PpmKind.all, k, repeats, seed, featureSubset = subset)
+      test  = PredictionExperiment.run(workload, folds, grid).test
       kind <- PpmKind.all
-    } yield {
-      val byN = grid.map { n =>
-        val vals = folds.map { fold =>
-          Metrics.eN(fold.testIds.map { id =>
-            val q = byId(id)
-            (fold.predict(kind, q, grid).toMap.apply(n), q.actual.toMap.apply(n))
-          })
-        }
-        n -> Metrics.mean(vals)
-      }
-      (setName, kind) -> byN
-    }).toMap
-    AblationResult(e)
+    } yield (setName, kind) -> test.find(_.name == kind.name).get.byN.map { case (n, m, _) => n -> m }
+    AblationResult(e.toMap)
   }
 
   def reportAblation(r: AblationResult): String = {

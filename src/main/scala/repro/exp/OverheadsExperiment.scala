@@ -3,7 +3,6 @@ package repro.exp
 import java.nio.file.Files
 import org.apache.spark.sql.SparkSession
 import repro.core._
-import repro.sim.SparklensEstimator
 
 /** T9 — §5.6: training and scoring overheads of the AutoExecutor pipeline.
   *
@@ -37,8 +36,8 @@ object OverheadsExperiment {
     * the rule's own in-optimizer timings from the [[DecisionLog]].
     */
   def run(workload: Workload, spark: Option[SparkSession] = None): Result = {
-    val curves = workload.queries.map(q => SparklensEstimator.curve(q.profile, WorkloadRunner.FitGrid))
-    val examples = workload.queries.zip(curves).map { case (q, c) => ParameterModel.TrainingExample(q.query.id, q.features, c) }
+    val examples = workload.queries.map(q => ParameterModel.TrainingExample(q.query.id, q.features, q.labelCurve))
+    val curves   = examples.map(_.curve)
 
     val fitMs = PpmKind.all.map { kind =>
       kind -> timeMs(5) { curves.foreach(kind.fit) } / curves.size

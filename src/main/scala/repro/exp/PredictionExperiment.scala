@@ -3,7 +3,6 @@ package repro.exp
 import repro.Par
 import repro.core.{ParameterModel, PpmKind}
 import repro.exp.CrossValidation.TrainedFold
-import repro.sim.SparklensEstimator
 
 /** T3 — Figures 4/9 + §5.2: prediction accuracy E(n) of AE_PL, AE_AL and
   * Sparklens on the 10-repeated 5-fold cross-validation, for both the
@@ -100,11 +99,8 @@ object CrossSfExperiment {
   final case class Result(testLabel: String, trainLabel: String, series: IndexedSeq[(String, IndexedSeq[(Int, Double)])])
 
   def run(train: Workload, test: Workload, grid: IndexedSeq[Int] = WorkloadRunner.Grid): Result = {
-    val examples = train.queries.map { q =>
-      ParameterModel.TrainingExample(q.query.id, q.features, SparklensEstimator.curve(q.profile, WorkloadRunner.FitGrid))
-    }
-    val models = PpmKind.all.map(k => k -> ParameterModel.train(k, examples)).toMap
-    val trainById = train.queries.map(q => q.query.id -> q).toMap
+    val examples = train.queries.map(q => ParameterModel.TrainingExample(q.query.id, q.features, q.labelCurve))
+    val models   = PpmKind.all.map(k => k -> ParameterModel.train(k, examples)).toMap
 
     def eSeries(name: String, curveOf: QueryData => Map[Int, Double]): (String, IndexedSeq[(Int, Double)]) =
       name -> grid.map { n =>
@@ -116,7 +112,7 @@ object CrossSfExperiment {
       eSeries(s"S_${test.sfLabel}", q => q.sparklens.toMap),
       // ...and from the *training* SF profile of the same query (the paper's
       // observation: Sparklens cannot account for the data-size change).
-      eSeries(s"S_${train.sfLabel}", q => trainById(q.query.id).sparklens.toMap),
+      eSeries(s"S_${train.sfLabel}", q => train.byId(q.query.id).sparklens.toMap),
       eSeries("AE_PL", q => models(PpmKind.PowerLaw).predictPpm(q.features).curve(grid).toMap),
       eSeries("AE_AL", q => models(PpmKind.Amdahl).predictPpm(q.features).curve(grid).toMap),
     )

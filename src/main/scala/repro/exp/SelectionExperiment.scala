@@ -26,12 +26,11 @@ object SelectionExperiment {
   val Methods: IndexedSeq[String] = IndexedSeq("Actual", "S", "AE_PL", "AE_AL")
 
   private def testCurves(workload: Workload, folds: IndexedSeq[TrainedFold]): IndexedSeq[Curves] = {
-    val byId = workload.queries.map(q => q.query.id -> q).toMap
     for {
       fold <- folds
       id   <- fold.testIds
     } yield {
-      val q       = byId(id)
+      val q       = workload.byId(id)
       val actualI = ConfigSelector.interpolate(q.actual)
       Curves(fold.repeat, id, actualI, Map(
         "Actual" -> actualI,
@@ -130,14 +129,11 @@ object SelectionExperiment {
   def runElbow(workload: Workload, folds: IndexedSeq[TrainedFold]): ElbowResult = {
     val curves  = testCurves(workload, folds)
     val repeats = folds.map(_.repeat).distinct.size.toDouble
-    // Per-method elbow counts; model methods are averaged over repeats (each
-    // query occurs once per repeat across that repeat's 5 folds).
+    // Per-method elbow counts, averaged over repeats (each query occurs once
+    // per repeat across that repeat's 5 folds).
     val hist = Methods.flatMap { m =>
       val ls = curves.map(c => ConfigSelector.elbow(c.byMethod(m)))
-      ls.groupBy(identity).map { case (l, occ) =>
-        val weight = if (m == "Actual" || m == "S") occ.size / repeats else occ.size / repeats
-        (m, l) -> weight
-      }
+      ls.groupBy(identity).map { case (l, occ) => (m, l) -> occ.size / repeats }
     }.toMap
     val actualPerQuery = curves.groupBy(_.queryId).map { case (_, cs) => ConfigSelector.elbow(cs.head.actual) }
     ElbowResult(hist, actualPerQuery.count(_ < 8), actualPerQuery.size)

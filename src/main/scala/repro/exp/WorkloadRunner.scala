@@ -17,12 +17,19 @@ final case class QueryData(
     features: Array[Double],
     actual: IndexedSeq[(Int, Double)],
     sparklens: IndexedSeq[(Int, Double)],
-)
+) {
+  /** The Sparklens series over [[WorkloadRunner.FitGrid]] that the query's
+    * PPM labels are fit to (§4.1); pure in the profile, so derived once.
+    */
+  lazy val labelCurve: IndexedSeq[(Int, Double)] = SparklensEstimator.curve(profile, WorkloadRunner.FitGrid)
+}
 
 /** A fully-profiled workload at one scale factor. */
 final case class Workload(sfLabel: String, sf: Double, queries: IndexedSeq[QueryData]) {
-  def byId(id: String): QueryData = queries.find(_.query.id == id)
-    .getOrElse(throw new NoSuchElementException(s"no query $id in $sfLabel"))
+  private val index = queries.map(q => q.query.id -> q).toMap
+
+  def byId(id: String): QueryData =
+    index.getOrElse(id, throw new NoSuchElementException(s"no query $id in $sfLabel"))
 }
 
 /** Builds [[Workload]]s: materializes TPC-DS-lite, executes each query once

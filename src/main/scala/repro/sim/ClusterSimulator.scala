@@ -161,7 +161,6 @@ final class ExecutorPool(val coresPerExecutor: Int) {
     val slotFreeAt: Array[Double] = Array.fill(coresPerExecutor)(arrivalMs)
     var removedAt: Double         = Double.PositiveInfinity
     def lastBusyMs: Double        = math.max(arrivalMs, slotFreeAt.max)
-    def busyUntil: Double         = slotFreeAt.max
   }
 
   private val executors = mutable.ArrayBuffer.empty[Executor]

@@ -29,8 +29,8 @@ final case class StageProfile(
     shuffleReadBytes: Long,
     inputBytes: Long,
 ) {
-  def totalTaskMs: Double = taskDurationsMs.sum
-  def maxTaskMs: Double   = if (taskDurationsMs.isEmpty) 0.0 else taskDurationsMs.max
+  val totalTaskMs: Double = taskDurationsMs.sum
+  val maxTaskMs: Double   = if (taskDurationsMs.isEmpty) 0.0 else taskDurationsMs.max
   def numTasks: Int       = taskDurationsMs.length
 }
 

@@ -82,7 +82,7 @@ class ParameterModelSpec extends AnyFunSuite {
       assert(examples.size == 103)
       val model  = ParameterModel.train(kind, examples, rfParams = RandomForest.Params(seed = seed))
       val loaded = roundTrip(model)
-      assert(loaded.kindName == model.kindName)
+      assert(loaded.kind == model.kind)
       assert(loaded.forest.featureNames == model.forest.featureNames)
       assert(loaded.forest.nOutputs == model.forest.nOutputs)
       assert(RandomForestSpec.structure(loaded.forest) == RandomForestSpec.structure(model.forest))
@@ -96,7 +96,7 @@ class ParameterModelSpec extends AnyFunSuite {
       Split(1, Double.MinPositiveValue,
         Split(0, 1e300, Leaf(Array(1.0 / 3, Double.MaxValue)), Leaf(Array(-1e-300, 5e-324))),
         Leaf(Array(2.5, 1e300))))
-    val model = ParameterModel(PpmKind.Amdahl.name, RandomForest(Vector(tree, Leaf(Array(7.0, 8.0))), names, 2))
+    val model = ParameterModel(PpmKind.Amdahl, RandomForest(Vector(tree, Leaf(Array(7.0, 8.0))), names, 2))
     assert(RandomForestSpec.structure(roundTrip(model).forest) == RandomForestSpec.structure(model.forest))
   }
 
@@ -136,12 +136,6 @@ class ParameterModelSpec extends AnyFunSuite {
   )) test(s"load rejects $what") {
     assert(validFile.contains(from))
     intercept[IllegalArgumentException](loadText(validFile.replace(from, to)))
-  }
-
-  test("kind resolution rejects unknown names") {
-    val model = ParameterModel.train(PpmKind.Amdahl, examples(10, 6), names,
-      RandomForest.Params(nTrees = 2))
-    intercept[IllegalArgumentException] { model.copy(kindName = "bogus").kind }
   }
 
   test("training on an empty workload is rejected") {

@@ -9,7 +9,24 @@ import repro.ml.RandomForest
 import repro.sim.{SparklensEstimator, StageProfile, TaskProfile}
 import repro.tpcds.Query
 
+object CrossValidationSpec {
+
+  /** 20 queries with random two-stage profiles and tied integer features. */
+  lazy val synthetic: Workload = {
+    val r = new Random(4)
+    Workload("SYN", 0.0, (1 to 20).map { i =>
+      val stages = IndexedSeq(
+        StageProfile(0, 0, Nil, IndexedSeq.fill(8 + r.nextInt(90))(5.0 + r.nextDouble() * 50), 0L, 1L << 20),
+        StageProfile(1, 0, Seq(0), IndexedSeq.fill(1 + r.nextInt(40))(2.0 + r.nextDouble() * 20), 1L << 20, 0L))
+      QueryData(Query(s"q$i", s"t$i", "", Nil), TaskProfile(s"q$i", stages, 0.0, 50.0 + r.nextDouble() * 100),
+        Array.fill(PlanFeaturizer.featureNames.size)(r.nextInt(5).toDouble), IndexedSeq.empty, IndexedSeq.empty)
+    })
+  }
+}
+
 class CrossValidationSpec extends AnyFunSuite {
+  import CrossValidationSpec.synthetic
+
   private val ids = (1 to 20).map(i => s"q$i")
 
   test("each repeat's folds cover every query exactly once") {
@@ -50,18 +67,6 @@ class CrossValidationSpec extends AnyFunSuite {
     assert(r0 != r1)
   }
 
-  /** 20 queries with random two-stage profiles and tied integer features. */
-  private lazy val synthetic: Workload = {
-    val r = new Random(4)
-    Workload("SYN", 0.0, (1 to 20).map { i =>
-      val stages = IndexedSeq(
-        StageProfile(0, 0, Nil, IndexedSeq.fill(8 + r.nextInt(90))(5.0 + r.nextDouble() * 50), 0L, 1L << 20),
-        StageProfile(1, 0, Seq(0), IndexedSeq.fill(1 + r.nextInt(40))(2.0 + r.nextDouble() * 20), 1L << 20, 0L))
-      QueryData(Query(s"q$i", s"t$i", "", Nil), TaskProfile(s"q$i", stages, 0.0, 50.0 + r.nextDouble() * 100),
-        Array.fill(PlanFeaturizer.featureNames.size)(r.nextInt(5).toDouble), IndexedSeq.empty, IndexedSeq.empty)
-    })
-  }
-
   /** The saved model file: equal text means an identical model. */
   private def bytes(m: ParameterModel): Seq[Byte] = {
     val path = Files.createTempFile("cv-model", ".txt")
@@ -90,6 +95,20 @@ class CrossValidationSpec extends AnyFunSuite {
       assert(bytes(c.models(kind)) == direct, s"repeat ${c.repeat} fold ${c.fold} $kind")
       assert(bytes(s.models(kind)) == direct, s"repeat ${c.repeat} fold ${c.fold} $kind")
     }
+  }
+
+  test("a query's label curve is its Sparklens series over FitGrid, derived once") {
+    synthetic.queries.foreach { q =>
+      val curve = q.labelCurve
+      assert(curve == SparklensEstimator.curve(q.profile, WorkloadRunner.FitGrid), q.query.id)
+      assert(q.labelCurve eq curve, q.query.id)
+    }
+  }
+
+  test("Workload.byId finds every query and names the SF label of an unknown id") {
+    synthetic.queries.foreach(q => assert(synthetic.byId(q.query.id) eq q))
+    val e = intercept[NoSuchElementException](synthetic.byId("q999"))
+    assert(e.getMessage.contains("q999") && e.getMessage.contains("SYN"), e.getMessage)
   }
 
   test("too few queries for k folds is rejected") {
