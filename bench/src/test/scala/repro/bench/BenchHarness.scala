@@ -2,41 +2,20 @@ package repro.bench
 
 import java.nio.file.{Files, Path, Paths}
 import repro.SparkSpec
-import repro.core.PpmKind
-import repro.exp.{CrossValidation, Workload, WorkloadRunner}
-import repro.tpcds.TpcdsLite
+import repro.exp.Tables
 
-/** Shared state for all bench suites (one JVM per `bench/test` run):
-  * the two profiled workloads — "SF100" (sf=0.1) and "SF10" (sf=0.01), the
-  * paper's SF=100/SF=10 stand-ins — and the 10×5-fold cross-validation
-  * models on SF100. Profiles are cached on disk under `target/tpcds-lite`,
-  * so only the first run pays the query-execution cost.
+/** Shared state for all bench suites (one JVM per `bench/test` run): one
+  * [[Tables]] over the shared session. Profiles are cached on disk under
+  * `target/tpcds-lite`, so only the first run pays the query-execution cost.
   *
   * Every suite prints its paper-table reproduction and also writes it to
   * `target/reports/<name>.txt` for EXPERIMENTS.md assembly.
   */
 object BenchHarness {
 
-  val dataDir: Path    = TpcdsLite.defaultBaseDir
-  val reportDir: Path  = Paths.get("target/reports")
+  val reportDir: Path = Paths.get("target/reports")
 
-  lazy val sf100: Workload = {
-    Console.err.println("[bench] building SF100 workload (sf=0.1, 103 queries)…")
-    WorkloadRunner.build(SparkSpec.shared, sf = 0.1, sfLabel = "SF100",
-      dataDir = dataDir, cacheDir = dataDir.resolve("profiles"))
-  }
-
-  lazy val sf10: Workload = {
-    Console.err.println("[bench] building SF10 workload (sf=0.01, 103 queries)…")
-    WorkloadRunner.build(SparkSpec.shared, sf = 0.01, sfLabel = "SF10",
-      dataDir = dataDir, cacheDir = dataDir.resolve("profiles"))
-  }
-
-  /** The paper's 10-repeated 5-fold CV models on SF100. */
-  lazy val folds: IndexedSeq[CrossValidation.TrainedFold] = {
-    Console.err.println("[bench] training 10x5-fold cross-validation models…")
-    CrossValidation.trainFolds(sf100, PpmKind.all, k = 5, repeats = 10, seed = 7)
-  }
+  lazy val tables: Tables = Tables(SparkSpec.shared)
 
   def report(name: String, content: String): Unit = {
     println(content)

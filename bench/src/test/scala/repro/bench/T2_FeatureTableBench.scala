@@ -1,13 +1,12 @@
 package repro.bench
 
 import repro.core.PlanFeaturizer
-import repro.exp.FeatureTableExperiment
 
 /** T2 — paper Table 2: the parameter-model feature list. */
 class T2_FeatureTableBench extends BenchSpec {
 
   test("T2: feature table matches the paper's structure") {
-    BenchHarness.report("T2_FeatureTable", FeatureTableExperiment.report(BenchHarness.sf100))
+    BenchHarness.report("T2_FeatureTable", BenchHarness.tables.report("T2"))
 
     // Paper Table 2: 14 per-operator counts + total ops + depth + sources +
     // input bytes + rows processed.
@@ -17,8 +16,8 @@ class T2_FeatureTableBench extends BenchSpec {
 
     // Input-size features must actually scale ~10x between the SFs.
     val idx = PlanFeaturizer.featureNames.indexOf("input_bytes")
-    val b100 = BenchHarness.sf100.queries.map(_.features(idx)).sum
-    val b10  = BenchHarness.sf10.queries.map(_.features(idx)).sum
+    val b100 = BenchHarness.tables.sf100.queries.map(_.features(idx)).sum
+    val b10  = BenchHarness.tables.sf10.queries.map(_.features(idx)).sum
     assert(b100 / b10 > 3.0, s"input bytes should grow strongly with SF: $b100 vs $b10")
   }
 }

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.core.PpmKind
-import repro.exp.PredictionExperiment
 
 /** T3 — Figures 4/9 + §5.2: E(n) prediction accuracy of AE_PL/AE_AL vs
   * Sparklens under 10×5-fold cross-validation on SF100.
@@ -9,8 +8,8 @@ import repro.exp.PredictionExperiment
 class T3_TimePredictionBench extends BenchSpec {
 
   test("T3: prediction errors follow the paper's structure") {
-    val r = PredictionExperiment.run(BenchHarness.sf100, BenchHarness.folds)
-    BenchHarness.report("T3_TimePrediction", PredictionExperiment.report(r))
+    val r = BenchHarness.tables.t3
+    BenchHarness.report("T3_TimePrediction", BenchHarness.tables.report("T3"))
 
     def testByN(name: String) =
       r.test.find(_.name == name).get.byN.map { case (n, m, _) => n -> m }.toMap

@@ -6,8 +6,8 @@ import repro.exp.SelectionExperiment
 class T4_LimitedSlowdownBench extends BenchSpec {
 
   test("T4: limited-slowdown selection reproduces the paper's structure") {
-    val r = SelectionExperiment.runSlowdown(BenchHarness.sf100, BenchHarness.folds)
-    BenchHarness.report("T4_LimitedSlowdown", SelectionExperiment.reportSlowdown(r))
+    val r = BenchHarness.tables.t4
+    BenchHarness.report("T4_LimitedSlowdown", BenchHarness.tables.report("T4"))
 
     // AE_AL has no saturation term, so H=1 always selects the max n = 48
     // (paper §5.3: "AE_AL always selects the maximum value of n").

@@ -1,13 +1,11 @@
 package repro.bench
 
-import repro.exp.SelectionExperiment
-
 /** T5 — Figure 11 + §5.3: elbow-point distribution over all queries. */
 class T5_ElbowBench extends BenchSpec {
 
   test("T5: elbow distribution reproduces the paper's structure") {
-    val r = SelectionExperiment.runElbow(BenchHarness.sf100, BenchHarness.folds)
-    BenchHarness.report("T5_Elbow", SelectionExperiment.reportElbow(r))
+    val r = BenchHarness.tables.t5
+    BenchHarness.report("T5_Elbow", BenchHarness.tables.report("T5"))
 
     // Analytic invariant: AE_AL curves always elbow at exactly L = 7.
     val alLs = r.histogram.keys.collect { case ("AE_AL", l) => l }.toSet

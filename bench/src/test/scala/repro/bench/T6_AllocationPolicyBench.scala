@@ -1,15 +1,11 @@
 package repro.bench
 
-import repro.exp.AllocationExperiment
-
 /** T6 — Figures 12/13 + §5.4: Rule (AutoExecutor) vs DA(1,48) vs SA(48). */
 class T6_AllocationPolicyBench extends BenchSpec {
 
   test("T6: AutoExecutor saves executors and occupancy vs DA and SA") {
-    val predicted = AllocationExperiment.predictedCounts(
-      BenchHarness.sf100, BenchHarness.folds, repeat = 0, h = 1.05)
-    val r = AllocationExperiment.run(BenchHarness.sf100, predicted)
-    BenchHarness.report("T6_AllocationPolicy", AllocationExperiment.report(r))
+    val r = BenchHarness.tables.t6
+    BenchHarness.report("T6_AllocationPolicy", BenchHarness.tables.report("T6"))
 
     val (daN, daAuc, _) = r.daRatios
     val (saN, saAuc, _) = r.sa48Ratios

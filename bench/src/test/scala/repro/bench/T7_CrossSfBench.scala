@@ -6,10 +6,8 @@ import repro.exp.CrossSfExperiment
 class T7_CrossSfBench extends BenchSpec {
 
   test("T7: models trained on one SF predict the other (both directions)") {
-    val to10  = CrossSfExperiment.run(train = BenchHarness.sf100, test = BenchHarness.sf10)
-    val to100 = CrossSfExperiment.run(train = BenchHarness.sf10, test = BenchHarness.sf100)
-    BenchHarness.report("T7_CrossSf",
-      CrossSfExperiment.report(to10) + CrossSfExperiment.report(to100))
+    val (to10, to100) = BenchHarness.tables.t7
+    BenchHarness.report("T7_CrossSf", BenchHarness.tables.report("T7"))
 
     for (r <- Seq(to10, to100); (name, byN) <- r.series; (n, e) <- byN) {
       assert(!e.isNaN && e >= 0.0, s"${r.testLabel}/$name E($n)=$e")

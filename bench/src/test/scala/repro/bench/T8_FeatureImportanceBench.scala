@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.core.{PlanFeaturizer, PpmKind}
-import repro.exp.ImportanceExperiment
 
 /** T8 — Figure 15 + §5.7: permutation feature importance and the F0–F3
   * feature-ablation study.
@@ -9,8 +8,8 @@ import repro.exp.ImportanceExperiment
 class T8_FeatureImportanceBench extends BenchSpec {
 
   test("T8a: input-size features dominate permutation importance") {
-    val r = ImportanceExperiment.runImportance(BenchHarness.sf100, BenchHarness.folds, nRepeats = 100)
-    BenchHarness.report("T8a_FeatureImportance", ImportanceExperiment.reportImportance(r))
+    val r = BenchHarness.tables.t8a
+    BenchHarness.report("T8a_FeatureImportance", BenchHarness.tables.report("T8a"))
 
     val ranked = r.scores.map(_._1)
     // Paper Figure 15: input bytes and rows processed lead the ranking.
@@ -20,8 +19,8 @@ class T8_FeatureImportanceBench extends BenchSpec {
   }
 
   test("T8b: ablation — F1 tracks F0, input-size-free F3 degrades") {
-    val r = ImportanceExperiment.runAblation(BenchHarness.sf100, repeats = 5)
-    BenchHarness.report("T8b_Ablation", ImportanceExperiment.reportAblation(r))
+    val r = BenchHarness.tables.t8b
+    BenchHarness.report("T8b_Ablation", BenchHarness.tables.report("T8b"))
 
     def e8(set: String, kind: PpmKind): Double =
       r.eByN((set, kind)).find(_._1 == 8).get._2

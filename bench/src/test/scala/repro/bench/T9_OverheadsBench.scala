@@ -1,13 +1,11 @@
 package repro.bench
 
-import repro.exp.OverheadsExperiment
-
 /** T9 — §5.6: training and in-optimizer scoring overheads. */
 class T9_OverheadsBench extends BenchSpec {
 
   test("T9: overheads are in the paper's millisecond regime") {
-    val r = OverheadsExperiment.run(BenchHarness.sf100, Some(spark))
-    BenchHarness.report("T9_Overheads", OverheadsExperiment.report(r))
+    val r = BenchHarness.tables.t9
+    BenchHarness.report("T9_Overheads", BenchHarness.tables.report("T9"))
 
     // PPM fitting is sub-millisecond per query (paper ~0.3 ms).
     r.ppmFitMsPerQuery.values.foreach(ms => assert(ms < 10.0, s"fit $ms ms"))

@@ -15,31 +15,27 @@ object SelectionExperiment {
   val FullRange: IndexedSeq[Int] = (1 to 48).toIndexedSeq
   val HValues: IndexedSeq[Double] = IndexedSeq(1.0, 1.05, 1.1, 1.2, 1.5, 2.0)
 
-  /** Per-method interpolated/predicted curves for one test occurrence. */
-  private final case class Curves(
-      repeat: Int,
-      queryId: String,
-      actual: IndexedSeq[(Int, Double)],
-      byMethod: Map[String, IndexedSeq[(Int, Double)]],
-  )
-
   val Methods: IndexedSeq[String] = IndexedSeq("Actual", "S", "AE_PL", "AE_AL")
 
-  private def testCurves(workload: Workload, folds: IndexedSeq[TrainedFold]): IndexedSeq[Curves] = {
+  /** Each method's curve over [[FullRange]] for one test occurrence. */
+  final case class TestCurve(repeat: Int, queryId: String, byMethod: Map[String, IndexedSeq[(Int, Double)]])
+
+  /** One [[TestCurve]] per (fold, test query), in fold order: T4 and T5
+    * both read these.
+    */
+  def testCurves(workload: Workload, folds: IndexedSeq[TrainedFold]): IndexedSeq[TestCurve] =
     for {
       fold <- folds
       id   <- fold.testIds
     } yield {
-      val q       = workload.byId(id)
-      val actualI = ConfigSelector.interpolate(q.actual)
-      Curves(fold.repeat, id, actualI, Map(
-        "Actual" -> actualI,
-        "S"      -> ConfigSelector.interpolate(q.sparklens),
+      val q = workload.byId(id)
+      TestCurve(fold.repeat, id, Map(
+        "Actual" -> q.actualFull,
+        "S"      -> q.sparklensFull,
         "AE_PL"  -> fold.predict(PpmKind.PowerLaw, q, FullRange),
         "AE_AL"  -> fold.predict(PpmKind.Amdahl, q, FullRange),
       ))
     }
-  }
 
   // ----- T4: limited slowdown -------------------------------------------
 
@@ -52,16 +48,18 @@ object SelectionExperiment {
       speedupVsStatic: Map[(Int, String), Double],
   )
 
-  def runSlowdown(workload: Workload, folds: IndexedSeq[TrainedFold]): SlowdownResult = {
-    val curves = testCurves(workload, folds)
+  def runSlowdown(curves: IndexedSeq[TestCurve]): SlowdownResult = {
+    // Each occurrence's Actual lookup and t_min, shared by every cell.
+    val judged = curves.map { c =>
+      val actual = c.byMethod("Actual")
+      (c, actual.toMap, actual.map(_._2).min)
+    }
     val cells = (for {
       h      <- HValues
       method <- Methods
     } yield {
-      val perOccurrence = curves.map { c =>
+      val perOccurrence = judged.map { case (c, actualT, tMin) =>
         val sel      = ConfigSelector.limitedSlowdown(c.byMethod(method), h)
-        val actualT  = c.actual.toMap
-        val tMin     = c.actual.map(_._2).min
         val slowdown = actualT(sel) / tMin
         (c.repeat, slowdown, sel.toDouble)
       }
@@ -77,9 +75,8 @@ object SelectionExperiment {
       staticN <- Seq(2, 3, 8)
       method  <- Seq("AE_PL", "AE_AL")
     } yield {
-      val vals = curves.map { c =>
-        val sel     = ConfigSelector.limitedSlowdown(c.byMethod(method), 1.0)
-        val actualT = c.actual.toMap
+      val vals = judged.map { case (c, actualT, _) =>
+        val sel = ConfigSelector.limitedSlowdown(c.byMethod(method), 1.0)
         actualT(staticN) / actualT(sel) - 1.0
       }
       (staticN, method) -> Metrics.mean(vals)
@@ -126,16 +123,15 @@ object SelectionExperiment {
       queries: Int,
   )
 
-  def runElbow(workload: Workload, folds: IndexedSeq[TrainedFold]): ElbowResult = {
-    val curves  = testCurves(workload, folds)
-    val repeats = folds.map(_.repeat).distinct.size.toDouble
+  def runElbow(curves: IndexedSeq[TestCurve]): ElbowResult = {
+    val repeats = curves.map(_.repeat).distinct.size.toDouble
     // Per-method elbow counts, averaged over repeats (each query occurs once
     // per repeat across that repeat's 5 folds).
     val hist = Methods.flatMap { m =>
       val ls = curves.map(c => ConfigSelector.elbow(c.byMethod(m)))
       ls.groupBy(identity).map { case (l, occ) => (m, l) -> occ.size / repeats }
     }.toMap
-    val actualPerQuery = curves.groupBy(_.queryId).map { case (_, cs) => ConfigSelector.elbow(cs.head.actual) }
+    val actualPerQuery = curves.groupBy(_.queryId).map { case (_, cs) => ConfigSelector.elbow(cs.head.byMethod("Actual")) }
     ElbowResult(hist, actualPerQuery.count(_ < 8), actualPerQuery.size)
   }
 

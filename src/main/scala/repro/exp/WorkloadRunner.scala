@@ -2,7 +2,7 @@ package repro.exp
 
 import java.nio.file.{Files, Path}
 import org.apache.spark.sql.SparkSession
-import repro.core.PlanFeaturizer
+import repro.core.{ConfigSelector, PlanFeaturizer}
 import repro.sim.{ClusterSimulator, ProfileCollector, SparklensEstimator, TaskProfile}
 import repro.tpcds.{Queries, Query, TpcdsLite}
 
@@ -22,6 +22,12 @@ final case class QueryData(
     * PPM labels are fit to (§4.1); pure in the profile, so derived once.
     */
   lazy val labelCurve: IndexedSeq[(Int, Double)] = SparklensEstimator.curve(profile, WorkloadRunner.FitGrid)
+
+  /** The Actual and Sparklens series interpolated onto every `n` between
+    * the grid's ends, as selection judges them (§5.3); derived once.
+    */
+  lazy val actualFull: IndexedSeq[(Int, Double)]    = ConfigSelector.interpolate(actual)
+  lazy val sparklensFull: IndexedSeq[(Int, Double)] = ConfigSelector.interpolate(sparklens)
 }
 
 /** A fully-profiled workload at one scale factor. */

@@ -22,6 +22,17 @@ object CrossValidationSpec {
         Array.fill(PlanFeaturizer.featureNames.size)(r.nextInt(5).toDouble), IndexedSeq.empty, IndexedSeq.empty)
     })
   }
+
+  /** [[synthetic]] with Sparklens series on the paper grid and "actual"
+    * times scattered around them.
+    */
+  lazy val withCurves: Workload = {
+    val r = new Random(11)
+    synthetic.copy(queries = synthetic.queries.map { q =>
+      val s = SparklensEstimator.curve(q.profile, WorkloadRunner.Grid)
+      q.copy(actual = s.map { case (n, t) => n -> t * (0.7 + 0.6 * r.nextDouble()) }, sparklens = s)
+    })
+  }
 }
 
 class CrossValidationSpec extends AnyFunSuite {

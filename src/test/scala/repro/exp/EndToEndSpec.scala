@@ -25,6 +25,8 @@ class EndToEndSpec extends SparkSpec {
   private lazy val folds =
     CrossValidation.trainFolds(workload, PpmKind.all, k = 5, repeats = 2, seed = 1)
 
+  private lazy val curves = SelectionExperiment.testCurves(workload, folds)
+
   test("workload profiles all queries with non-trivial stages") {
     assert(workload.queries.size == 10)
     workload.queries.foreach { q =>
@@ -75,7 +77,7 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("slowdown selection behaves like the paper's structure") {
-    val r = SelectionExperiment.runSlowdown(workload, folds)
+    val r = SelectionExperiment.runSlowdown(curves)
     // AE_AL at H=1 always picks 48 (no saturation term).
     assert(r.cells((1.0, "AE_AL")).meanN == 48.0)
     // Actual at H=1 has no extra slowdown by construction.
@@ -88,7 +90,7 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("elbow distribution matches the analytic AE_AL result") {
-    val r = SelectionExperiment.runElbow(workload, folds)
+    val r = SelectionExperiment.runElbow(curves)
     val alLs = r.histogram.keys.collect { case ("AE_AL", l) => l }
     assert(alLs == Set(7), s"AE_AL elbows: $alLs")
   }
