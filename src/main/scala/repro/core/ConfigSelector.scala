@@ -28,13 +28,25 @@ object ConfigSelector {
   /** Limited-slowdown selection (§5.3): the smallest `n` whose time is within
     * a factor `h >= 1` of the curve's minimum time, i.e.
     * `t(n) / t_min <= h`.
+    *
+    * The curve comes in ascending `n`, as [[interpolate]] and `Ppm.curve`
+    * over an ascending grid return it. A NaN time is never `t_min` and
+    * never selected; if no time qualifies (every time NaN), the largest `n`
+    * is selected.
     */
   def limitedSlowdown(curve: IndexedSeq[(Int, Double)], h: Double): Int = {
     require(h >= 1.0, s"slowdown threshold must be >= 1, got $h")
     require(curve.nonEmpty, "empty curve")
-    val tMin = curve.map(_._2).min
-    curve.sortBy(_._1).collectFirst { case (n, t) if t <= h * tMin => n }
-      .getOrElse(curve.maxBy(_._1)._1)
+    var tMin = Double.NaN
+    var i    = 0
+    while (i < curve.length) {
+      val t = curve(i)._2
+      if (tMin.isNaN || t < tMin) tMin = t
+      i += 1
+    }
+    i = 0
+    while (i < curve.length && !(curve(i)._2 <= h * tMin)) i += 1
+    if (i < curve.length) curve(i)._1 else curve.last._1
   }
 
   /** Elbow-point selection (§5.3, Eqs. 7–9).

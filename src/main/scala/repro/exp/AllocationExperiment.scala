@@ -3,7 +3,7 @@ package repro.exp
 import repro.Par
 import repro.core.{ConfigSelector, PpmKind}
 import repro.exp.CrossValidation.TrainedFold
-import repro.sim.{ClusterSimulator, DynamicAllocation}
+import repro.sim.ClusterSimulator
 
 /** T6 — Figures 12/13 + §5.4: cost savings of AutoExecutor's predictive
   * request (Rule) against Spark dynamic allocation DA(1,48) and static
@@ -58,7 +58,7 @@ object AllocationExperiment {
   def run(
       workload: Workload,
       predicted: Map[String, Int],
-      daParams: DynamicAllocation.DaParams = DynamicAllocation.DaParams(),
+      daParams: ClusterSimulator.DaParams = ClusterSimulator.DaParams(),
       fidelity: ClusterSimulator.Fidelity = ClusterSimulator.Fidelity(),
       initialExecutors: Int = 2,
       seed: Long = 23L,
@@ -69,15 +69,15 @@ object AllocationExperiment {
       val nPred = math.max(predicted(q.query.id), 1)
       def toRun(r: ClusterSimulator.RunResult) =
         PolicyRun(r.elapsedMs, r.skyline.maxN, r.skyline.aucExecutorSeconds)
-      val rule = DynamicAllocation.simulate(
+      val rule = ClusterSimulator.simulate(
         q.profile,
-        DynamicAllocation.PredictiveRule(initial = math.min(initialExecutors, nPred), target = nPred, params = daParams),
+        ClusterSimulator.PredictiveRule(initial = math.min(initialExecutors, nPred), target = nPred, params = daParams),
         fidelity = fidelity, seed = seed,
       )
-      val da = DynamicAllocation.simulate(
-        q.profile, DynamicAllocation.Dynamic(daParams), fidelity = fidelity, seed = seed)
-      val sa48 = DynamicAllocation.simulate(
-        q.profile, DynamicAllocation.Static(48), fidelity = fidelity, seed = seed)
+      val da = ClusterSimulator.simulate(
+        q.profile, ClusterSimulator.Dynamic(daParams), fidelity = fidelity, seed = seed)
+      val sa48 = ClusterSimulator.simulate(
+        q.profile, ClusterSimulator.Static(48), fidelity = fidelity, seed = seed)
       // ♣ in Figure 13: the run lasted long enough for the full predicted
       // count to be allocated.
       val fullyAllocated = rule.skyline.maxN >= nPred

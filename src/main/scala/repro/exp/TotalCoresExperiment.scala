@@ -34,17 +34,13 @@ object TotalCoresExperiment {
 
   def run(workload: Workload, fidelity: ClusterSimulator.Fidelity = ClusterSimulator.Fidelity(), reps: Int = 5): Result = {
     val errors = workload.queries.flatMap { q =>
+      // Measured time of every configuration, one actualCurve per e_c.
+      val t = configs.groupMap(_._1)(_._2).flatMap { case (ec, ns) =>
+        ClusterSimulator.actualCurve(q.profile, ns, ec, fidelity, reps).map { case (n, tn) => (ec, n) -> tn }
+      }
       // e_c = 4 reference series, indexed by total cores k, interpolated.
-      val ref = ec4Configs.map { case (ec, n) =>
-        (n * ec, ClusterSimulator.measure(q.profile, n, ec, fidelity, reps))
-      }
-      val refI = ConfigSelector.interpolate(ref.map { case (k, t) => (k, t) }).toMap
-      nonEc4Configs.map { case (ec, n) =>
-        val k    = n * ec
-        val t    = ClusterSimulator.measure(q.profile, n, ec, fidelity, reps)
-        val tRef = refI(k)
-        1.0 - t / tRef
-      }
+      val refI = ConfigSelector.interpolate(ec4Configs.map { case (ec, n) => (n * ec, t((ec, n))) }).toMap
+      nonEc4Configs.map { case (ec, n) => 1.0 - t((ec, n)) / refI(n * ec) }
     }
     Result(
       relativeErrors = errors,

@@ -1,6 +1,7 @@
 package repro.sim
 
 import scala.collection.mutable
+import scala.util.Random
 import repro.Par
 
 /** Discrete-event simulator of a Spark cluster executing a profiled query —
@@ -25,6 +26,27 @@ import repro.Par
   *     ramp-up on Synapse) and seeded lognormal per-task noise reproducing
   *     the run-to-run variance structure of §5.1 (long serial runs average
   *     the noise out; short wide runs do not).
+  *
+  * One engine, [[simulate]], runs a profile under one of three
+  * executor-allocation policies, the substrate for the paper's §5.4
+  * skyline/AUC comparison (Figures 12/13):
+  *
+  *   - [[Static]]: all `n` executors held from submission to completion (the
+  *     paper's SA, and the ground-truth configuration for `t(n)` curves).
+  *   - [[Dynamic]]: Spark dynamic allocation — start at `min`, and while
+  *     tasks back up, request exponentially growing executor batches
+  *     (1, 2, 4, …) after a backlog timeout; requested executors arrive
+  *     gradually (allocation lag); idle executors are removed after an idle
+  *     timeout (the paper's DA(1,48)).
+  *   - [[PredictiveRule]]: AutoExecutor's combination (§4.6) — a predictive
+  *     request for the model-selected count made at optimization time,
+  *     scale-*up* by DA disabled, idle-timeout scale-*down* retained (the
+  *     paper's Rule).
+  *
+  * Time constants are scaled-down analogues of the paper's testbed, where
+  * queries run minutes, full allocation takes 20–30 s and the DA idle timeout
+  * is 60 s; our profiled queries run seconds, so lags scale proportionally.
+  * The same constants are shared by every policy and query.
   */
 object ClusterSimulator {
 
@@ -77,36 +99,159 @@ object ClusterSimulator {
     1.0 + coeff * d * d
   }
 
-  /** Simulate a run on a *static* pool of `n` executors all present from
-    * time 0 (the paper's SA policy, and the ground-truth configuration for
-    * `t(n)` curves). Delegates to the shared policy simulator.
+  /** Reactive-policy time constants (see scaling note above). Defaults put
+    * the full 48-executor ramp at ~250–350 ms — the same fraction of this
+    * workload's median query duration (~1.5 s) as the paper testbed's
+    * 20–30 s ramp is of its minutes-long queries.
+    */
+  final case class DaParams(
+      minExecutors: Int = 1,
+      maxExecutors: Int = 48,
+      backlogTimeoutMs: Double = 20.0,
+      sustainedTimeoutMs: Double = 20.0,
+      allocLagMs: Double = 80.0,
+      perExecutorSpacingMs: Double = 3.0,
+      idleTimeoutMs: Double = 1000.0,
+  )
+
+  sealed trait Policy
+  /** Static allocation: `n` executors for the app's whole lifetime. */
+  final case class Static(n: Int) extends Policy
+  /** Spark dynamic allocation within `[params.minExecutors, params.maxExecutors]`. */
+  final case class Dynamic(params: DaParams = DaParams()) extends Policy
+  /** AutoExecutor: start with `initial` executors, request `target` at
+    * `ruleDelayMs` (the optimizer-rule invocation point), keep only DA's
+    * idle-removal behaviour.
+    */
+  final case class PredictiveRule(
+      initial: Int,
+      target: Int,
+      ruleDelayMs: Double = 50.0,
+      params: DaParams = DaParams(),
+  ) extends Policy
+
+  /** Simulate `profile` under `policy`; returns elapsed time and the
+    * executor skyline (from which peak `n` and AUC are read).
     */
   def simulate(
       profile: TaskProfile,
-      n: Int,
+      policy: Policy,
       coresPerExecutor: Int = 4,
       fidelity: Fidelity = Fidelity(),
       seed: Long = 0L,
-  ): RunResult =
-    DynamicAllocation.simulate(profile, DynamicAllocation.Static(n), coresPerExecutor, fidelity, seed)
+  ): RunResult = {
+    val pool = new ExecutorPool(coresPerExecutor)
 
-  /** Mimic the paper's measurement protocol (§5.1): `reps` runs with
-    * different seeds, outliers beyond ±1.5×IQR discarded, mean of the rest.
-    */
-  def measure(
-      profile: TaskProfile,
-      n: Int,
-      coresPerExecutor: Int = 4,
-      fidelity: Fidelity = Fidelity(),
-      reps: Int = 5,
-      seed: Long = 17L,
-  ): Double = {
-    val times = (0 until reps).map(r => simulate(profile, n, coresPerExecutor, fidelity, repSeed(seed, r)).elapsedMs)
-    meanWithoutOutliers(times)
+    // What the policy fixes up front: its initial (and, for the rule,
+    // requested) executors, the DA constants of scale-up if it runs, and
+    // the idle timeout and floor of idle removal if that runs.
+    val (scaleUp, idleRemoval): (Option[DaParams], Option[(Double, Int)]) = policy match {
+      case Static(n) =>
+        require(n >= 1, s"static allocation needs n >= 1, got $n")
+        (0 until n).foreach(_ => pool.addExecutor(0.0))
+        (None, None)
+      case Dynamic(p) =>
+        (0 until math.max(p.minExecutors, 1)).foreach(_ => pool.addExecutor(0.0))
+        (Some(p), Some((p.idleTimeoutMs, math.max(p.minExecutors, 1))))
+      case PredictiveRule(initial, target, ruleDelay, p) =>
+        require(initial >= 1, s"rule policy needs initial >= 1, got $initial")
+        (0 until initial).foreach(_ => pool.addExecutor(0.0))
+        // The predictive request: all missing executors asked for at rule
+        // time, arriving gradually after the allocation lag.
+        val missing = math.min(target, p.maxExecutors) - initial
+        (0 until math.max(missing, 0)).foreach { i =>
+          pool.addExecutor(ruleDelay + p.allocLagMs + i * p.perExecutorSpacingMs)
+        }
+        (None, Some((p.idleTimeoutMs, 1))) // the rule keeps at least one executor alive
+    }
+
+    val rng    = new Random(seed)
+    val ecPen  = ecPenalty(coresPerExecutor, fidelity.ecPenaltyCoeff)
+    val finish = mutable.Map.empty[Int, Double]
+    var prevJobEnd  = 0.0
+    var curJob      = -1
+    var jobEndSoFar = 0.0
+    val driverHead  = 0.5 * profile.driverMs
+    var appEnd      = driverHead
+
+    for (stage <- profile.stages.sortBy(s => (s.jobIndex, s.stageId))) {
+      if (stage.jobIndex != curJob) { prevJobEnd = jobEndSoFar; curJob = stage.jobIndex }
+      val parentEnd = stage.parentIds.map(p => finish.getOrElse(p, 0.0)).foldLeft(0.0)(math.max)
+      val ready     = math.max(driverHead, math.max(parentEnd, prevJobEnd))
+
+      // Reactive scale-down: drop executors that have sat idle past the
+      // timeout before this stage became ready (most-idle first), keeping
+      // the policy's floor.
+      idleRemoval.foreach { case (timeoutMs, floor) => removeIdle(pool, timeoutMs, floor, until = ready) }
+
+      // Reactive scale-up (Dynamic only): exponential request rounds while
+      // the stage's tasks exceed live and inbound capacity, following
+      // Spark's dynamic-allocation ramp.
+      scaleUp.foreach { p =>
+        val needed = math.min(
+          (stage.numTasks + coresPerExecutor - 1) / coresPerExecutor,
+          p.maxExecutors,
+        )
+        var visible  = pool.size
+        var reqTime  = ready + p.backlogTimeoutMs
+        var batch    = 1
+        while (visible < needed) {
+          val add = math.min(batch, needed - visible)
+          (0 until add).foreach { i =>
+            pool.addExecutor(reqTime + p.allocLagMs + i * p.perExecutorSpacingMs)
+          }
+          visible += add
+          batch *= 2
+          reqTime += p.sustainedTimeoutMs
+        }
+      }
+
+      val nExec = pool.size
+      val fanIn = 1.0 + math.log1p(math.max(nExec - 1, 0).toDouble)
+      val shufflePerTaskMb =
+        if (stage.numTasks == 0) 0.0
+        else stage.shuffleReadBytes.toDouble / stage.numTasks / (1024.0 * 1024.0)
+      val shuffleExtraMs = shufflePerTaskMb * fidelity.shuffleFanInMsPerMb * fanIn
+      val stageMb = (stage.shuffleReadBytes + stage.inputBytes).toDouble / (1024.0 * 1024.0)
+      val spill   = spillFactor(stageMb, nExec, fidelity)
+
+      // Longest task first: an ascending primitive sort read backwards
+      // (durations are never NaN, so this is the order of `sortBy(-_)`).
+      val durations = stage.taskDurationsMs.toArray
+      java.util.Arrays.sort(durations)
+      var stageEnd = ready
+      var t = durations.length - 1
+      while (t >= 0) {
+        val noise = math.exp(rng.nextGaussian() * fidelity.noiseSigma - fidelity.noiseSigma * fidelity.noiseSigma / 2)
+        val cost  = durations(t) * noise * ecPen * spill + fidelity.taskLaunchOverheadMs + shuffleExtraMs
+        val end   = pool.scheduleTask(ready, cost)
+        stageEnd = math.max(stageEnd, end)
+        t -= 1
+      }
+      finish(stage.stageId) = stageEnd
+      jobEndSoFar = math.max(jobEndSoFar, stageEnd)
+      appEnd = math.max(appEnd, stageEnd)
+    }
+
+    val elapsed = appEnd + (profile.driverMs - driverHead)
+    // Idle removal also happens while trailing serial work runs (Spark's DA
+    // monitors continuously, not only at stage starts) — apply it up to the
+    // end of the app before the skyline is read.
+    idleRemoval.foreach { case (timeoutMs, floor) => removeIdle(pool, timeoutMs, floor, until = elapsed) }
+    RunResult(elapsed, pool.skyline(elapsed))
   }
 
-  /** Seed of repetition `r` of a [[measure]] series. */
-  private def repSeed(seed: Long, r: Int): Long = seed + 31L * r
+  /** Remove executors whose idle time exceeded `timeoutMs` strictly before
+    * `until`, keeping `floor` executors. Most-idle executors go first and
+    * each is removed at the moment its timeout actually expired.
+    */
+  private def removeIdle(pool: ExecutorPool, timeoutMs: Double, floor: Int, until: Double): Unit = {
+    val removable = pool.live
+      .filter(e => e.lastBusyMs + timeoutMs <= until)
+      .sortBy(_.lastBusyMs)
+    for (e <- removable if pool.size > floor)
+      pool.removeExecutor(e, e.lastBusyMs + timeoutMs)
+  }
 
   /** Mean after discarding points outside ±1.5×IQR (paper §5.1). */
   def meanWithoutOutliers(xs: IndexedSeq[Double]): Double = {
@@ -125,9 +270,10 @@ object ClusterSimulator {
     use.sum / use.length
   }
 
-  /** The paper's measured `t(n)` series for one query: outlier-discarded mean
-    * at each n of the grid, equal to [[measure]] at each n. All grid × reps
-    * runs are simulated in parallel; each n keeps `measure`'s seeds and rep
+  /** The paper's measurement protocol (§5.1) over a grid of executor
+    * counts: at each `n`, `reps` static runs with seeds `seed + 31 r`,
+    * outliers beyond ±1.5×IQR discarded, mean of the rest. All grid × reps
+    * runs are simulated in parallel; each n's mean reads its runs in rep
     * order.
     */
   def actualCurve(
@@ -140,7 +286,7 @@ object ClusterSimulator {
   ): IndexedSeq[(Int, Double)] = {
     val ns    = grid.toIndexedSeq
     val times = Par.tabulate(ns.size * reps) { i =>
-      simulate(profile, ns(i / reps), coresPerExecutor, fidelity, repSeed(seed, i % reps)).elapsedMs
+      simulate(profile, Static(ns(i / reps)), coresPerExecutor, fidelity, seed + 31L * (i % reps)).elapsedMs
     }
     ns.indices.map(j => ns(j) -> meanWithoutOutliers(times.slice(j * reps, (j + 1) * reps)))
   }
@@ -211,12 +357,9 @@ final class ExecutorPool(val coresPerExecutor: Int) {
 
   def live: Seq[Executor] = executors.filter(_.removedAt.isInfinity).toSeq
 
-  /** Executors that have arrived (or will have arrived) by `tMs` and are not
-    * removed — what the DA policy sees as "current + inbound".
+  /** Executors not removed, arrived or still inbound: what the DA policy
+    * sees as "current + inbound".
     */
-  def executorsVisibleBy(tMs: Double): Int =
-    executors.count(e => e.arrivalMs <= tMs && e.removedAt.isInfinity)
-
   def size: Int = liveCount
 
   /** Greedily place one task of length `costMs`, ready at `readyMs`, on the

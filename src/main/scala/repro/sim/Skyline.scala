@@ -40,9 +40,3 @@ final case class Skyline(deltas: IndexedSeq[(Double, Int)], endMs: Double) {
     total / 1000.0
   }
 }
-
-object Skyline {
-
-  /** Skyline of a static allocation: `n` executors held for the whole run. */
-  def static(n: Int, endMs: Double): Skyline = Skyline(IndexedSeq((0.0, n)), endMs)
-}

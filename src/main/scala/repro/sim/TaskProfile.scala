@@ -50,8 +50,6 @@ final case class TaskProfile(
     wallMs: Double,
     driverMs: Double,
 ) {
-  def totalTaskMs: Double = stages.map(_.totalTaskMs).sum
-
   /** Write the profile file; see [[TaskProfile.load]] for the format. */
   def save(path: Path): Unit = {
     require(queryId.nonEmpty && !queryId.exists(_.isWhitespace), s"query id '$queryId' must be one word")

@@ -40,12 +40,16 @@ class ConfigSelectorSpec extends PropSpec {
 
   test("H=1 on a strictly decreasing curve selects the max n") {
     assert(limitedSlowdown(amdahlCurve, 1.0) == 48)
+    // A curve of NaN times has no t_min, and selects the max n too.
+    assert(limitedSlowdown(amdahlCurve.map { case (n, _) => n -> Double.NaN }, 1.0) == 48)
   }
 
   test("H>1 selects the smallest n within the slowdown bound") {
     // t(n) = 10 + 100/n, t_min = t(48) ≈ 12.083; H=1.5 → threshold ≈ 18.125
     // → need 100/n <= 8.125 → n >= 12.3 → n = 13.
     assert(limitedSlowdown(amdahlCurve, 1.5) == 13)
+    // A NaN time is neither t_min nor selected; the rest selects as before.
+    assert(limitedSlowdown(amdahlCurve.updated(0, 1 -> Double.NaN), 1.5) == 13)
   }
 
   test("very large H selects n = 1") {

@@ -3,6 +3,7 @@ package repro.sim
 import java.lang.Double.doubleToRawLongBits
 import scala.collection.mutable
 import org.scalatest.funsuite.AnyFunSuite
+import repro.sim.ClusterSimulator.{Fidelity, Static}
 
 /** Simulator correctness on hand-built profiles where the exact schedule is
   * known. Noise/overheads are zeroed where exact equality is asserted.
@@ -20,15 +21,25 @@ class ClusterSimulatorSpec extends AnyFunSuite {
   private def profile(stages: StageProfile*): TaskProfile =
     TaskProfile("test", stages.toIndexedSeq, wallMs = 0.0, driverMs = 0.0)
 
+  /** The paper's measurement protocol (§5.1) at one `n`, run by run: `reps`
+    * static runs with seeds `seed + 31 r`, outliers beyond ±1.5×IQR
+    * discarded, mean of the rest. Kept as the sequential reference that
+    * [[ClusterSimulator.actualCurve]] must match at every grid point.
+    */
+  private def measure(p: TaskProfile, n: Int, coresPerExecutor: Int = 4, fidelity: Fidelity = Fidelity(),
+                      reps: Int = 5, seed: Long = 17L): Double =
+    ClusterSimulator.meanWithoutOutliers((0 until reps).map(r =>
+      ClusterSimulator.simulate(p, Static(n), coresPerExecutor, fidelity, seed + 31L * r).elapsedMs))
+
   test("single stage on one slot serializes all tasks") {
     val p = profile(stage(0, Seq(10.0, 20.0, 30.0)))
-    val r = ClusterSimulator.simulate(p, n = 1, coresPerExecutor = 1, fidelity = exact)
+    val r = ClusterSimulator.simulate(p, Static(1), coresPerExecutor = 1, fidelity = exact)
     assert(math.abs(r.elapsedMs - 60.0) < 1e-9)
   }
 
   test("single stage with enough slots takes the longest task") {
     val p = profile(stage(0, Seq(10.0, 20.0, 30.0)))
-    val r = ClusterSimulator.simulate(p, n = 1, coresPerExecutor = 4, fidelity = exact)
+    val r = ClusterSimulator.simulate(p, Static(1), coresPerExecutor = 4, fidelity = exact)
     assert(math.abs(r.elapsedMs - 30.0) < 1e-9)
   }
 
@@ -36,37 +47,37 @@ class ClusterSimulatorSpec extends AnyFunSuite {
     // Greedy LPT: slots (3,3) → (5,5) → (7,5); optimal would be 6 but Spark's
     // scheduler is greedy too.
     val p = profile(stage(0, Seq(3.0, 3.0, 2.0, 2.0, 2.0)))
-    val r = ClusterSimulator.simulate(p, n = 1, coresPerExecutor = 2, fidelity = exact)
+    val r = ClusterSimulator.simulate(p, Static(1), coresPerExecutor = 2, fidelity = exact)
     assert(math.abs(r.elapsedMs - 7.0) < 1e-9)
   }
 
   test("dependent stages run sequentially") {
     val p = profile(stage(0, Seq(10.0, 10.0)), stage(1, Seq(5.0), parents = Seq(0)))
-    val r = ClusterSimulator.simulate(p, n = 2, coresPerExecutor = 1, fidelity = exact)
+    val r = ClusterSimulator.simulate(p, Static(2), coresPerExecutor = 1, fidelity = exact)
     assert(math.abs(r.elapsedMs - 15.0) < 1e-9)
   }
 
   test("independent stages in the same job share the pool concurrently") {
     val p = profile(stage(0, Seq(10.0)), stage(1, Seq(10.0)))
-    val r = ClusterSimulator.simulate(p, n = 2, coresPerExecutor = 1, fidelity = exact)
+    val r = ClusterSimulator.simulate(p, Static(2), coresPerExecutor = 1, fidelity = exact)
     assert(math.abs(r.elapsedMs - 10.0) < 1e-9)
   }
 
   test("stages of a later job wait for the previous job (AQE barrier)") {
     val p = profile(stage(0, Seq(10.0), job = 0), stage(2, Seq(10.0), job = 1))
-    val r = ClusterSimulator.simulate(p, n = 4, coresPerExecutor = 1, fidelity = exact)
+    val r = ClusterSimulator.simulate(p, Static(4), coresPerExecutor = 1, fidelity = exact)
     assert(math.abs(r.elapsedMs - 20.0) < 1e-9)
   }
 
   test("driver time is added to the makespan") {
     val p = TaskProfile("t", IndexedSeq(stage(0, Seq(10.0))), wallMs = 0.0, driverMs = 100.0)
-    val r = ClusterSimulator.simulate(p, n = 1, coresPerExecutor = 1, fidelity = exact)
+    val r = ClusterSimulator.simulate(p, Static(1), coresPerExecutor = 1, fidelity = exact)
     assert(math.abs(r.elapsedMs - 110.0) < 1e-9)
   }
 
   test("a parent in a skipped stage (absent from profile) is ready at time 0") {
     val p = profile(stage(1, Seq(10.0), parents = Seq(99)))
-    val r = ClusterSimulator.simulate(p, n = 1, coresPerExecutor = 1, fidelity = exact)
+    val r = ClusterSimulator.simulate(p, Static(1), coresPerExecutor = 1, fidelity = exact)
     assert(math.abs(r.elapsedMs - 10.0) < 1e-9)
   }
 
@@ -74,7 +85,7 @@ class ClusterSimulatorSpec extends AnyFunSuite {
     val p = profile(stage(0, (1 to 100).map(i => (i % 7 + 1) * 10.0)),
                     stage(1, (1 to 40).map(_ => 25.0), parents = Seq(0)))
     val times = Seq(1, 2, 4, 8, 16, 32).map(n =>
-      ClusterSimulator.simulate(p, n, 4, exact).elapsedMs)
+      ClusterSimulator.simulate(p, Static(n), 4, exact).elapsedMs)
     times.zip(times.tail).foreach { case (a, b) => assert(b <= a + 1e-6) }
   }
 
@@ -83,10 +94,10 @@ class ClusterSimulatorSpec extends AnyFunSuite {
     // parallelism only the longest task's overhead is visible.
     val p     = profile(stage(0, (1 to 64).map(i => (i % 5 + 1) * 10.0)))
     val over  = exact.copy(taskLaunchOverheadMs = 5.0)
-    val t1o   = ClusterSimulator.simulate(p, 1, 1, over).elapsedMs
-    val t1    = ClusterSimulator.simulate(p, 1, 1, exact).elapsedMs
-    val t64o  = ClusterSimulator.simulate(p, 16, 4, over).elapsedMs
-    val t64   = ClusterSimulator.simulate(p, 16, 4, exact).elapsedMs
+    val t1o   = ClusterSimulator.simulate(p, Static(1), 1, over).elapsedMs
+    val t1    = ClusterSimulator.simulate(p, Static(1), 1, exact).elapsedMs
+    val t64o  = ClusterSimulator.simulate(p, Static(16), 4, over).elapsedMs
+    val t64   = ClusterSimulator.simulate(p, Static(16), 4, exact).elapsedMs
     assert((t1o - t1) / t1 > (t64o - t64) / t64)
   }
 
@@ -95,8 +106,8 @@ class ClusterSimulatorSpec extends AnyFunSuite {
     val p  = profile(stage(0, (1 to 32).map(_ => 10.0), shuffleBytes = 320 * mb))
     val fan = exact.copy(shuffleFanInMsPerMb = 1.0)
     // Compare per-task extra: same slot count, different executor counts.
-    val few  = ClusterSimulator.simulate(p, n = 2, coresPerExecutor = 8, fidelity = fan).elapsedMs
-    val many = ClusterSimulator.simulate(p, n = 16, coresPerExecutor = 1, fidelity = fan).elapsedMs
+    val few  = ClusterSimulator.simulate(p, Static(2), coresPerExecutor = 8, fidelity = fan).elapsedMs
+    val many = ClusterSimulator.simulate(p, Static(16), coresPerExecutor = 1, fidelity = fan).elapsedMs
     assert(many > few)
   }
 
@@ -130,10 +141,10 @@ class ClusterSimulatorSpec extends AnyFunSuite {
     val mb = 1024L * 1024L
     val p = profile(StageProfile(0, 0, Nil, (1 to 64).map(_ => 100.0), 8 * mb, 0L))
     val fid  = exact.copy(spillCoeff = 0.3, executorMemoryMb = 1.0)
-    val t1   = ClusterSimulator.simulate(p, 1, 4, fid).elapsedMs
-    val t16  = ClusterSimulator.simulate(p, 16, 4, fid).elapsedMs
-    val t1x  = ClusterSimulator.simulate(p, 1, 4, exact).elapsedMs
-    val t16x = ClusterSimulator.simulate(p, 16, 4, exact).elapsedMs
+    val t1   = ClusterSimulator.simulate(p, Static(1), 4, fid).elapsedMs
+    val t16  = ClusterSimulator.simulate(p, Static(16), 4, fid).elapsedMs
+    val t1x  = ClusterSimulator.simulate(p, Static(1), 4, exact).elapsedMs
+    val t16x = ClusterSimulator.simulate(p, Static(16), 4, exact).elapsedMs
     assert(t1 / t1x > t16 / t16x, "spill should penalize n=1 more than n=16")
   }
 
@@ -147,19 +158,19 @@ class ClusterSimulatorSpec extends AnyFunSuite {
   test("noise makes runs vary but measurement averages converge") {
     val p  = profile(stage(0, (1 to 50).map(_ => 20.0)))
     val fid = exact.copy(noiseSigma = 0.1)
-    val a  = ClusterSimulator.simulate(p, 4, 4, fid, seed = 1).elapsedMs
-    val b  = ClusterSimulator.simulate(p, 4, 4, fid, seed = 2).elapsedMs
+    val a  = ClusterSimulator.simulate(p, Static(4), 4, fid, seed = 1).elapsedMs
+    val b  = ClusterSimulator.simulate(p, Static(4), 4, fid, seed = 2).elapsedMs
     assert(a != b)
-    val exactT = ClusterSimulator.simulate(p, 4, 4, exact).elapsedMs
-    val avg    = ClusterSimulator.measure(p, 4, 4, fid, reps = 15)
+    val exactT = ClusterSimulator.simulate(p, Static(4), 4, exact).elapsedMs
+    val avg    = measure(p, 4, 4, fid, reps = 15)
     assert(math.abs(avg - exactT) / exactT < 0.1)
   }
 
   test("simulation is deterministic in the seed") {
     val p   = profile(stage(0, (1 to 30).map(_ => 15.0)))
     val fid = exact.copy(noiseSigma = 0.2)
-    val a   = ClusterSimulator.simulate(p, 3, 4, fid, seed = 9).elapsedMs
-    val b   = ClusterSimulator.simulate(p, 3, 4, fid, seed = 9).elapsedMs
+    val a   = ClusterSimulator.simulate(p, Static(3), 4, fid, seed = 9).elapsedMs
+    val b   = ClusterSimulator.simulate(p, Static(3), 4, fid, seed = 9).elapsedMs
     assert(a == b)
   }
 
@@ -190,7 +201,7 @@ class ClusterSimulatorSpec extends AnyFunSuite {
     val grid = Seq(1, 3, 8, 16, 32, 48)
     for (reps <- Seq(1, 4, 5)) {
       val curve = ClusterSimulator.actualCurve(p, grid, reps = reps, seed = 11L)
-      val each  = grid.map(n => n -> ClusterSimulator.measure(p, n, reps = reps, seed = 11L))
+      val each  = grid.map(n => n -> measure(p, n, reps = reps, seed = 11L))
       assert(curve.map(_._1) == grid)
       assert(curve.map(c => java.lang.Double.doubleToRawLongBits(c._2)) ==
         each.map(c => java.lang.Double.doubleToRawLongBits(c._2)), s"reps=$reps")
@@ -268,7 +279,7 @@ class ClusterSimulatorSpec extends AnyFunSuite {
 
   test("static skyline reflects the allocation") {
     val p = profile(stage(0, Seq(10.0)))
-    val r = ClusterSimulator.simulate(p, n = 7, coresPerExecutor = 4, fidelity = exact)
+    val r = ClusterSimulator.simulate(p, Static(7), coresPerExecutor = 4, fidelity = exact)
     assert(r.skyline.maxN == 7)
     assert(math.abs(r.skyline.aucExecutorSeconds - 7 * r.elapsedMs / 1000.0) < 1e-9)
   }

@@ -1,7 +1,7 @@
 package repro.sim
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.sim.DynamicAllocation._
+import repro.sim.ClusterSimulator._
 
 class DynamicAllocationSpec extends AnyFunSuite {
 
@@ -33,12 +33,6 @@ class DynamicAllocationSpec extends AnyFunSuite {
     stage(1, (1 to 60).map(_ => 500.0), parents = Seq(0), job = 1),
     stage(2, Seq(4000.0), parents = Seq(1), job = 2),
   )
-
-  test("static policy equals ClusterSimulator.simulate") {
-    val a = simulate(wide, Static(8), fidelity = exact).elapsedMs
-    val b = ClusterSimulator.simulate(wide, 8, fidelity = exact).elapsedMs
-    assert(a == b)
-  }
 
   test("dynamic allocation ramps up under backlog") {
     val r = simulate(wide, Dynamic(DaParams(minExecutors = 1, maxExecutors = 48)), fidelity = exact)

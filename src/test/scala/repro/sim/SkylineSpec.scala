@@ -5,7 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 class SkylineSpec extends AnyFunSuite {
 
   test("static skyline holds n for the whole run") {
-    val s = Skyline.static(4, endMs = 10000.0)
+    val s = Skyline(IndexedSeq((0.0, 4)), endMs = 10000.0)
     assert(s.maxN == 4)
     assert(math.abs(s.aucExecutorSeconds - 40.0) < 1e-9)
   }
