@@ -55,14 +55,11 @@ object AllocationExperiment {
     }.toMap
   }
 
-  def run(
-      workload: Workload,
-      predicted: Map[String, Int],
-      daParams: ClusterSimulator.DaParams = ClusterSimulator.DaParams(),
-      fidelity: ClusterSimulator.Fidelity = ClusterSimulator.Fidelity(),
-      initialExecutors: Int = 2,
-      seed: Long = 23L,
-  ): Result = {
+  /** Simulates each query under Rule, DA(1,48) and SA(48) with the default
+    * [[ClusterSimulator.DaParams]] and [[ClusterSimulator.Fidelity]]. Rule's
+    * app starts with 2 executors, or its predicted count if that is fewer.
+    */
+  def run(workload: Workload, predicted: Map[String, Int], seed: Long = 23L): Result = {
     // Queries are simulated in parallel; rows stay in workload order.
     val rows = Par.tabulate(workload.queries.size) { i =>
       val q     = workload.queries(i)
@@ -70,14 +67,9 @@ object AllocationExperiment {
       def toRun(r: ClusterSimulator.RunResult) =
         PolicyRun(r.elapsedMs, r.skyline.maxN, r.skyline.aucExecutorSeconds)
       val rule = ClusterSimulator.simulate(
-        q.profile,
-        ClusterSimulator.PredictiveRule(initial = math.min(initialExecutors, nPred), target = nPred, params = daParams),
-        fidelity = fidelity, seed = seed,
-      )
-      val da = ClusterSimulator.simulate(
-        q.profile, ClusterSimulator.Dynamic(daParams), fidelity = fidelity, seed = seed)
-      val sa48 = ClusterSimulator.simulate(
-        q.profile, ClusterSimulator.Static(48), fidelity = fidelity, seed = seed)
+        q.profile, ClusterSimulator.PredictiveRule(initial = math.min(2, nPred), target = nPred), seed = seed)
+      val da   = ClusterSimulator.simulate(q.profile, ClusterSimulator.Dynamic(), seed = seed)
+      val sa48 = ClusterSimulator.simulate(q.profile, ClusterSimulator.Static(48), seed = seed)
       // ♣ in Figure 13: the run lasted long enough for the full predicted
       // count to be allocated.
       val fullyAllocated = rule.skyline.maxN >= nPred

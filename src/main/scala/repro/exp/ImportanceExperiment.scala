@@ -90,7 +90,6 @@ object ImportanceExperiment {
       k: Int = 5,
       repeats: Int = 10,
       seed: Long = 7L,
-      grid: IndexedSeq[Int] = WorkloadRunner.Grid,
   ): AblationResult = {
     val splits = CrossValidation.splits(workload.queries.map(_.query.id), k, repeats, seed)
     require(f0Folds.forall(_.featureSubset == PlanFeaturizer.F0) &&
@@ -100,7 +99,7 @@ object ImportanceExperiment {
       (setName, subset) <- FeatureSets
       folds = if (subset == PlanFeaturizer.F0) f0Folds
               else CrossValidation.trainFolds(workload, PpmKind.all, k, repeats, seed, featureSubset = subset)
-      test  = PredictionExperiment.run(workload, folds, grid).test
+      test  = PredictionExperiment.run(workload, folds).test
       kind <- PpmKind.all
     } yield (setName, kind) -> test.find(_.name == kind.name).get.byN.map { case (n, m, _) => n -> m }
     AblationResult(e.toMap)

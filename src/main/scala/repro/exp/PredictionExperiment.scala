@@ -19,7 +19,9 @@ object PredictionExperiment {
       meanAbsGapToSparklens: Map[PpmKind, Double],
   )
 
-  def run(workload: Workload, folds: IndexedSeq[TrainedFold], grid: IndexedSeq[Int] = WorkloadRunner.Grid): Result = {
+  /** E(n) on the paper's grid, [[WorkloadRunner.Grid]]. */
+  def run(workload: Workload, folds: IndexedSeq[TrainedFold]): Result = {
+    val grid    = WorkloadRunner.Grid
     val queries = workload.queries
     val index   = queries.map(_.query.id).zipWithIndex.toMap
     def onGrid(curve: IndexedSeq[(Int, Double)]): Array[Double] = { val m = curve.toMap; grid.map(m).toArray }
@@ -98,7 +100,9 @@ object CrossSfExperiment {
 
   final case class Result(testLabel: String, trainLabel: String, series: IndexedSeq[(String, IndexedSeq[(Int, Double)])])
 
-  def run(train: Workload, test: Workload, grid: IndexedSeq[Int] = WorkloadRunner.Grid): Result = {
+  /** E(n) on the paper's grid, [[WorkloadRunner.Grid]]. */
+  def run(train: Workload, test: Workload): Result = {
+    val grid     = WorkloadRunner.Grid
     val examples = train.queries.map(q => ParameterModel.TrainingExample(q.query.id, q.features, q.labelCurve))
     val models   = PpmKind.all.map(k => k -> ParameterModel.train(k, examples)).toMap
 

@@ -32,11 +32,14 @@ object TotalCoresExperiment {
       within20Pct: Double,
   )
 
-  def run(workload: Workload, fidelity: ClusterSimulator.Fidelity = ClusterSimulator.Fidelity(), reps: Int = 5): Result = {
+  /** Simulates every configuration with [[ClusterSimulator.actualCurve]]
+    * at its defaults: 5 repetitions, the default fidelity.
+    */
+  def run(workload: Workload): Result = {
     val errors = workload.queries.flatMap { q =>
       // Measured time of every configuration, one actualCurve per e_c.
       val t = configs.groupMap(_._1)(_._2).flatMap { case (ec, ns) =>
-        ClusterSimulator.actualCurve(q.profile, ns, ec, fidelity, reps).map { case (n, tn) => (ec, n) -> tn }
+        ClusterSimulator.actualCurve(q.profile, ns, ec).map { case (n, tn) => (ec, n) -> tn }
       }
       // e_c = 4 reference series, indexed by total cores k, interpolated.
       val refI = ConfigSelector.interpolate(ec4Configs.map { case (ec, n) => (n * ec, t((ec, n))) }).toMap

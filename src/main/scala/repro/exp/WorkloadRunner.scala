@@ -71,7 +71,9 @@ object WorkloadRunner {
     "spark.sql.files.openCostInBytes"   -> (16 * 1024).toString,
   )
 
-  /** Build (or load from `cacheDir`) the workload at `sf`.
+  /** Build (or load from `cacheDir`) the workload at `sf`, with its Actual
+    * and Sparklens series on [[Grid]] and Actual at the default
+    * [[ClusterSimulator.Fidelity]]. Progress goes to stderr every 20 queries.
     *
     * @param sfLabel   name used in reports and cache paths ("SF100"/"SF10")
     * @param queries   workload queries (defaults to all 103)
@@ -82,12 +84,9 @@ object WorkloadRunner {
       sf: Double,
       sfLabel: String,
       queries: IndexedSeq[Query] = Queries.all,
-      grid: IndexedSeq[Int] = Grid,
       dataDir: Path = TpcdsLite.defaultBaseDir,
       cacheDir: Path = TpcdsLite.defaultBaseDir.resolve("profiles"),
-      fidelity: ClusterSimulator.Fidelity = ClusterSimulator.Fidelity(),
       reps: Int = 5,
-      verbose: Boolean = true,
   ): Workload = {
     TpcdsLite.materialize(spark, sf, dataDir)
     val data = queries.zipWithIndex.map { case (q, i) =>
@@ -95,14 +94,14 @@ object WorkloadRunner {
       val features = withProfilingConfs(spark) {
         PlanFeaturizer.featurize(spark.sql(q.sql))
       }
-      if (verbose && (i + 1) % 20 == 0)
+      if ((i + 1) % 20 == 0)
         Console.err.println(s"[WorkloadRunner] $sfLabel profiled ${i + 1}/${queries.size}")
       QueryData(
         query = q,
         profile = profile,
         features = features,
-        actual = ClusterSimulator.actualCurve(profile, grid, fidelity = fidelity, reps = reps),
-        sparklens = SparklensEstimator.curve(profile, grid),
+        actual = ClusterSimulator.actualCurve(profile, Grid, reps = reps),
+        sparklens = SparklensEstimator.curve(profile, Grid),
       )
     }
     Workload(sfLabel, sf, data)

@@ -9,12 +9,8 @@ package repro.ml
   */
 object LinearFit {
 
-  /** Result of a simple OLS fit. `r2` is the coefficient of determination
-    * (1.0 for a perfect fit; 0.0 when the model explains nothing).
-    */
-  final case class Fit(intercept: Double, slope: Double, r2: Double) {
-    def predict(x: Double): Double = intercept + slope * x
-  }
+  /** Result of a simple OLS fit. */
+  final case class Fit(intercept: Double, slope: Double)
 
   /** Fit `y = intercept + slope * x` by least squares.
     *
@@ -27,26 +23,16 @@ object LinearFit {
     val n     = xs.length.toDouble
     val xMean = xs.sum / n
     val yMean = ys.sum / n
-    var sxx = 0.0; var sxy = 0.0; var syy = 0.0
+    var sxx = 0.0; var sxy = 0.0
     var i = 0
     while (i < xs.length) {
       val dx = xs(i) - xMean
       val dy = ys(i) - yMean
-      sxx += dx * dx; sxy += dx * dy; syy += dy * dy
+      sxx += dx * dx; sxy += dx * dy
       i += 1
     }
     val slope     = if (sxx == 0.0) 0.0 else sxy / sxx
     val intercept = yMean - slope * xMean
-    val r2 =
-      if (syy == 0.0) 1.0
-      else {
-        var sse = 0.0
-        var j   = 0
-        while (j < xs.length) {
-          val e = ys(j) - (intercept + slope * xs(j)); sse += e * e; j += 1
-        }
-        1.0 - sse / syy
-      }
-    Fit(intercept, slope, r2)
+    Fit(intercept, slope)
   }
 }

@@ -5,9 +5,10 @@ import repro.Par
 
 /** Bagged multi-output random-forest regressor.
   *
-  * From-scratch substitute for scikit-learn's `RandomForestRegressor`
-  * (paper §3.4 / §5.6): 100 estimators by default, bootstrap sampling,
-  * all-features-per-split (sklearn's regression default), multi-output
+  * From-scratch substitute for scikit-learn's `RandomForestRegressor` at its
+  * default parameters (paper §3.4 / §5.6): 100 estimators by default, each
+  * grown on a bootstrap sample with every feature a candidate at every split
+  * (sklearn's regression default; see [[RegressionTree]]), multi-output
   * leaves. Its on-disk form, the stand-in for the paper's ONNX export
   * (§4.3/§4.4), is the [[repro.core.ParameterModel]] file.
   */
@@ -38,15 +39,10 @@ final case class RandomForest(
 
 object RandomForest {
 
-  /** Hyper-parameters; defaults mirror sklearn's `RandomForestRegressor`
-    * defaults (100 trees, bootstrap, all features considered per split).
+  /** The number of trees (sklearn's default, 100) and the seed of the
+    * bootstrap draws.
     */
-  final case class Params(
-      nTrees: Int = 100,
-      tree: RegressionTree.Params = RegressionTree.Params(),
-      bootstrap: Boolean = true,
-      seed: Long = 42L,
-  )
+  final case class Params(nTrees: Int = 100, seed: Long = 42L)
 
   /** Train on `x(i) -> y(i)` with deterministic seeding so CV folds and
     * tests are reproducible.
@@ -66,10 +62,7 @@ object RandomForest {
     val rows  = new RegressionTree.Rows(x, y)
     val trees = Par.tabulate(params.nTrees) { t =>
       val treeRng = new Random(seeds(t))
-      val sample =
-        if (params.bootstrap) Array.fill(x.length)(treeRng.nextInt(x.length))
-        else Array.range(0, x.length)
-      RegressionTree.grow(rows, sample, params.tree, treeRng)
+      RegressionTree.grow(rows, Array.fill(x.length)(treeRng.nextInt(x.length)))
     }
     RandomForest(trees, featureNames, y.head.length)
   }

@@ -1,7 +1,5 @@
 package repro.ml
 
-import scala.util.Random
-
 /** Multi-output CART regression tree.
   *
   * This is the per-tree building block of [[RandomForest]], our from-scratch
@@ -10,7 +8,10 @@ import scala.util.Random
   * §3.4). Multi-output leaves predict the mean target *vector* and splits
   * minimise the summed per-output squared error, mirroring sklearn's
   * multi-target behaviour so a single model predicts {a, b, m} or {s, p}
-  * jointly.
+  * jointly. The tree is grown at sklearn's regression defaults, which are
+  * the only settings: every feature is a candidate at every split, depth is
+  * unbounded, any node with two distinct feature vectors may split and a
+  * leaf may hold one sample.
   */
 object RegressionTree {
 
@@ -22,10 +23,6 @@ object RegressionTree {
       case Leaf(v)                   => v
       case Split(f, thr, left, right) => if (x(f) <= thr) left.predict(x) else right.predict(x)
     }
-    def depth: Int = this match {
-      case _: Leaf            => 1
-      case Split(_, _, l, r)  => 1 + math.max(l.depth, r.depth)
-    }
     def nodeCount: Int = this match {
       case _: Leaf           => 1
       case Split(_, _, l, r) => 1 + l.nodeCount + r.nodeCount
@@ -33,18 +30,6 @@ object RegressionTree {
   }
   final case class Leaf(value: Array[Double]) extends Node
   final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
-
-  /** Hyper-parameters; defaults follow sklearn's `RandomForestRegressor`
-    * defaults (unbounded depth, split down to 2 samples, 1-sample leaves).
-    * `maxFeatures` is the number of candidate features examined per split
-    * (sklearn regression default: all features).
-    */
-  final case class Params(
-      maxDepth: Int = Int.MaxValue,
-      minSamplesSplit: Int = 2,
-      minSamplesLeaf: Int = 1,
-      maxFeatures: Int = Int.MaxValue,
-  )
 
   /** Training rows in the layout split search reads: one array per
     * feature, its dense rank keys (see [[denseRanks]]) and the targets
@@ -97,18 +82,16 @@ object RegressionTree {
     val groupsByRank: Array[Array[Int]] = groupRanks.map(r => Array.range(0, nGroups).sortBy(r))
   }
 
-  /** Fit a tree on `rows(i) = (features, targets)` using `rng` only for the
-    * per-split feature subsample (bootstrap resampling is the forest's job).
-    */
-  def fit(x: IndexedSeq[Array[Double]], y: IndexedSeq[Array[Double]], params: Params, rng: Random): Node =
-    grow(new Rows(x, y), Array.range(0, x.length), params, rng)
+  /** Fit a tree on `x(i) -> y(i)` (bootstrap resampling is the forest's job). */
+  def fit(x: IndexedSeq[Array[Double]], y: IndexedSeq[Array[Double]]): Node =
+    grow(new Rows(x, y), Array.range(0, x.length))
 
   /** Fit a tree on the rows `sample` of `data`, in that order; a row may
     * repeat, as in a bootstrap sample. The tree is the one [[fit]] gives on
     * `sample.map(x)` and `sample.map(y)`.
     *
     * The tree is the one the exhaustive CART search builds, bit for bit.
-    * That search orders a node's rows by each candidate feature's rank keys
+    * That search orders a node's rows by each feature's rank keys
     * (a stable sort, ties in the node's row order) and gives every cut
     * between two rows with `v0 < v1` the gain `parentSse - sseLeft -
     * sseRight`, each side's impurity summed in that order around the side's
@@ -120,10 +103,9 @@ object RegressionTree {
     *    array. A split stably partitions the range of each feature that
     *    varies on the node. A feature varies when the first and last group
     *    of its range differ in rank; children inherit the subset. A node
-    *    with no varying feature holds one group and becomes a leaf; when
-    *    `maxFeatures` makes nodes draw candidates, it still draws them first,
-    *    so that every later draw is the exhaustive search's.
-    *  - Estimates. Each cut of a varying candidate feature gets the estimate
+    *    with no varying feature holds one group and becomes a leaf, as a
+    *    node of one row does: no cut separates it.
+    *  - Estimates. Each cut of a varying feature gets the estimate
     *    {{{
     *    G' = Σ_o L_o²/c + Σ_o R_o²/r − Σ_o P_o²/m,   R_o = P_o − L_o
     *    }}}
@@ -134,8 +116,8 @@ object RegressionTree {
     *    in an order unlike the exhaustive search's, but the bound below only
     *    uses that a rounded sum of n values is within (n − 1)·u·Σ|x| of the
     *    real one, which holds for any order and grouping of the additions.
-    *  - Twins. A candidate that orders the node's groups as an earlier
-    *    candidate does (the same groups in the same order, with rank changes
+    *  - Twins. A feature that orders the node's groups as an earlier
+    *    feature does (the same groups in the same order, with rank changes
     *    and `v0 < v1` at the same places) has the same cuts, and sorts the
     *    node's rows into the same order, so each of its exact gains repeats
     *    an earlier one bit for bit. Once the exhaustive search has weighed a
@@ -143,7 +125,7 @@ object RegressionTree {
     *    cannot replace the best: leaving the twin's cuts out of the list
     *    does not change the split the search picks.
     *  - Exact scan. The cuts are listed in the exhaustive search's order:
-    *    features in candidate order, cuts ascending. In that search the best
+    *    features ascending, cuts ascending. In that search the best
     *    gain before a cut is 0 or an earlier cut's exact gain, which is at
     *    most that cut's `G' + slack`. So if a cut d has `G' − slack` above 0
     *    and above every earlier cut's `G' + slack` by more than 1e-15 (a NaN
@@ -195,7 +177,7 @@ object RegressionTree {
     * the exact gain. A cut is skipped only when `G' + slack <= best + 1e-15`,
     * so a cut whose estimate is NaN gets the exact gain too.
     */
-  private[ml] def grow(data: Rows, sample: Array[Int], params: Params, rng: Random): Node = {
+  private[ml] def grow(data: Rows, sample: Array[Int]): Node = {
     val n         = sample.length
     val nFeatures = data.nFeatures
     val nOutputs  = data.nOutputs
@@ -222,8 +204,8 @@ object RegressionTree {
 
     // Scratch reused by every node: its rows ordered by a feature,
     // counting-sort buckets, the targets of its rows in order, per-output
-    // sums, the side of each group, a partition buffer and the candidates
-    // that are no earlier candidate's twin.
+    // sums, the side of each group, a partition buffer and the varying
+    // features that are no earlier feature's twin.
     val order    = new Array[Int](n)
     val buckets  = new Array[Int](data.size)
     val ordered  = new Array[Double](n * nOutputs)
@@ -308,7 +290,7 @@ object RegressionTree {
         o = 0
         while (o < nOutputs) { sumLeft(o) += groupSums(g * nOutputs + o); o += 1 }
         // Candidate thresholds: midpoints between consecutive distinct values.
-        if (value(g) < value(seg(j + 1)) && rows >= params.minSamplesLeaf && m - rows >= params.minSamplesLeaf) {
+        if (value(g) < value(seg(j + 1))) {
           var e = 0.0
           o = 0
           while (o < nOutputs) {
@@ -385,9 +367,8 @@ object RegressionTree {
       System.arraycopy(spill, 0, seg, w, k)
     }
 
-    def build(idx: Array[Int], lo: Int, hi: Int, inherited: Array[Int], depth: Int): Node = {
+    def build(idx: Array[Int], lo: Int, hi: Int, inherited: Array[Int]): Node = {
       val m = idx.length
-      if (depth >= params.maxDepth || m < params.minSamplesSplit) return leaf(idx)
       val varying = {
         val out = new Array[Int](inherited.length)
         var k = 0
@@ -397,10 +378,8 @@ object RegressionTree {
         }
         java.util.Arrays.copyOf(out, k)
       }
-      val nCand = math.min(params.maxFeatures, nFeatures)
-      // One group: no cut exists. With a feature draw the node still draws
-      // below, so that later nodes draw what the exhaustive search draws.
-      if (varying.isEmpty && nCand >= nFeatures) return leaf(idx)
+      // One group: no cut exists.
+      if (varying.isEmpty) return leaf(idx)
       gather(idx, m)
       val parentSse = sse(0, m)
       if (parentSse <= 1e-12) return leaf(idx)
@@ -422,17 +401,12 @@ object RegressionTree {
           (m * nOutputs + 2 * m * math.sqrt(m) + 2 * m + 2 * nOutputs + 8) * TwoPowMinus51 * squares
         else Double.PositiveInfinity
 
-      val candidates =
-        if (nCand >= nFeatures) varying
-        else rng.shuffle((0 until nFeatures).toList).take(nCand).toArray
-          .filter(java.util.Arrays.binarySearch(varying, _) >= 0)
-
-      // Cuts of the candidates, skipping a twin of an earlier one.
+      // Cuts of the varying features, skipping a twin of an earlier one.
       nCuts = 0
       var nKept = 0
       var c = 0
-      while (c < candidates.length) {
-        val f = candidates(c)
+      while (c < varying.length) {
+        val f = varying(c)
         var e = 0
         while (e < nKept && !sameOrder(kept(e), f, lo, hi)) e += 1
         if (e == nKept) { kept(nKept) = f; nKept += 1; estimate(f, lo, hi, m, parentTerm) }
@@ -464,11 +438,10 @@ object RegressionTree {
       while (c < varying.length) { if (varying(c) != f) partition(segments(varying(c)), lo, hi); c += 1 }
       val value = data.groupValues(f)
       Split(f, (value(seg(mid - 1)) + value(seg(mid))) / 2.0,
-        build(left, lo, mid, varying, depth + 1), build(right, mid, hi, varying, depth + 1))
+        build(left, lo, mid, varying), build(right, mid, hi, varying))
     }
 
-    // Depth is counted in node levels: a maxDepth of 1 yields a single leaf.
-    build(sample, 0, nGroups, Array.range(0, nFeatures), depth = 1)
+    build(sample, 0, nGroups, Array.range(0, nFeatures))
   }
 
   /** Where the exact scan of a node's cuts may start, given their estimates

@@ -120,15 +120,14 @@ object ClusterSimulator {
   /** Spark dynamic allocation within `[params.minExecutors, params.maxExecutors]`. */
   final case class Dynamic(params: DaParams = DaParams()) extends Policy
   /** AutoExecutor: start with `initial` executors, request `target` at
-    * `ruleDelayMs` (the optimizer-rule invocation point), keep only DA's
-    * idle-removal behaviour.
+    * [[RuleDelayMs]], keep only DA's idle-removal behaviour.
     */
-  final case class PredictiveRule(
-      initial: Int,
-      target: Int,
-      ruleDelayMs: Double = 50.0,
-      params: DaParams = DaParams(),
-  ) extends Policy
+  final case class PredictiveRule(initial: Int, target: Int, params: DaParams = DaParams()) extends Policy
+
+  /** When the rule's request is made: the optimizer-rule invocation point,
+    * after submission.
+    */
+  val RuleDelayMs = 50.0
 
   /** Simulate `profile` under `policy`; returns elapsed time and the
     * executor skyline (from which peak `n` and AUC are read).
@@ -153,14 +152,14 @@ object ClusterSimulator {
       case Dynamic(p) =>
         (0 until math.max(p.minExecutors, 1)).foreach(_ => pool.addExecutor(0.0))
         (Some(p), Some((p.idleTimeoutMs, math.max(p.minExecutors, 1))))
-      case PredictiveRule(initial, target, ruleDelay, p) =>
+      case PredictiveRule(initial, target, p) =>
         require(initial >= 1, s"rule policy needs initial >= 1, got $initial")
         (0 until initial).foreach(_ => pool.addExecutor(0.0))
         // The predictive request: all missing executors asked for at rule
         // time, arriving gradually after the allocation lag.
         val missing = math.min(target, p.maxExecutors) - initial
         (0 until math.max(missing, 0)).foreach { i =>
-          pool.addExecutor(ruleDelay + p.allocLagMs + i * p.perExecutorSpacingMs)
+          pool.addExecutor(RuleDelayMs + p.allocLagMs + i * p.perExecutorSpacingMs)
         }
         (None, Some((p.idleTimeoutMs, 1))) // the rule keeps at least one executor alive
     }

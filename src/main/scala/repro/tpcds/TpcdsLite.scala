@@ -12,8 +12,9 @@ import org.apache.spark.sql.types._
   * with row counts proportioned like TPC-DS and scaled by `sf`.
   *
   * `sf = 0.1` stands in for the paper's SF=100 and `sf = 0.01` for SF=10 —
-  * the same 10× data-size ratio. All generators are deterministic in
-  * `(sf, seed)` so the DuckDB oracle sees identical input.
+  * the same 10× data-size ratio. Each generator seeds its columns from a
+  * fixed seed of its own, so the rows are deterministic in `sf` and the
+  * DuckDB oracle sees identical input.
   *
   * Monetary columns are doubles rounded to 2 decimals; queries aggregate
   * them through `CAST(... AS DECIMAL(12,2))` so Spark and DuckDB produce
@@ -48,7 +49,8 @@ object TpcdsLite {
   private def rows(spark: SparkSession, start: Long, end: Long): DataFrame =
     spark.range(start, end, 1, GeneratorPartitions).toDF()
 
-  def storeSales(spark: SparkSession, sf: Double, seed: Long = 100): DataFrame = {
+  def storeSales(spark: SparkSession, sf: Double): DataFrame = {
+    val seed = 100L
     val nItem = n(NItem, sf); val nCust = n(NCustomer, sf)
     val nStore = n(NStore, sf * 10); val nPromo = n(NPromotion, sf)
     rows(spark, 0, n(NStoreSales, sf)).select(
@@ -67,7 +69,8 @@ object TpcdsLite {
     )
   }
 
-  def webSales(spark: SparkSession, sf: Double, seed: Long = 200): DataFrame = {
+  def webSales(spark: SparkSession, sf: Double): DataFrame = {
+    val seed = 200L
     val nItem = n(NItem, sf); val nCust = n(NCustomer, sf)
     rows(spark, 0, n(NWebSales, sf)).select(
       (rand(seed)     * NDateDim + 1).cast(LongType) as "ws_sold_date_sk",
@@ -80,7 +83,8 @@ object TpcdsLite {
     )
   }
 
-  def item(spark: SparkSession, sf: Double, seed: Long = 300): DataFrame = {
+  def item(spark: SparkSession, sf: Double): DataFrame = {
+    val seed = 300L
     import spark.implicits._
     rows(spark, 1, n(NItem, sf) + 1).toDF("i_item_sk").select(
       $"i_item_sk",
@@ -111,7 +115,8 @@ object TpcdsLite {
     )
   }
 
-  def customer(spark: SparkSession, sf: Double, seed: Long = 400): DataFrame = {
+  def customer(spark: SparkSession, sf: Double): DataFrame = {
+    val seed = 400L
     import spark.implicits._
     val nAddr = n(NAddress, sf)
     rows(spark, 1, n(NCustomer, sf) + 1).toDF("c_customer_sk").select(
@@ -123,7 +128,8 @@ object TpcdsLite {
     )
   }
 
-  def customerAddress(spark: SparkSession, sf: Double, seed: Long = 500): DataFrame = {
+  def customerAddress(spark: SparkSession, sf: Double): DataFrame = {
+    val seed = 500L
     import spark.implicits._
     rows(spark, 1, n(NAddress, sf) + 1).toDF("ca_address_sk").select(
       $"ca_address_sk",
@@ -134,7 +140,8 @@ object TpcdsLite {
     )
   }
 
-  def store(spark: SparkSession, sf: Double, seed: Long = 600): DataFrame = {
+  def store(spark: SparkSession, sf: Double): DataFrame = {
+    val seed = 600L
     import spark.implicits._
     rows(spark, 1, n(NStore, sf * 10) + 1).toDF("s_store_sk").select(
       $"s_store_sk",
@@ -144,7 +151,8 @@ object TpcdsLite {
     )
   }
 
-  def promotion(spark: SparkSession, sf: Double, seed: Long = 700): DataFrame = {
+  def promotion(spark: SparkSession, sf: Double): DataFrame = {
+    val seed = 700L
     import spark.implicits._
     rows(spark, 1, n(NPromotion, sf) + 1).toDF("p_promo_sk").select(
       $"p_promo_sk",
@@ -237,19 +245,6 @@ object TpcdsLite {
       df.createOrReplaceTempView(name)
       name -> df
     }.toMap
-  }
-
-  /** Total on-disk bytes of a materialized table — the paper's "estimated
-    * input bytes" feature source.
-    */
-  def tableBytes(baseDir: Path, sf: Double, name: String): Long = {
-    val dir = tableDir(baseDir, sf, name)
-    if (!Files.exists(dir)) 0L
-    else {
-      val stream = Files.walk(dir)
-      try stream.filter(Files.isRegularFile(_)).mapToLong(Files.size(_)).sum()
-      finally stream.close()
-    }
   }
 
   /** Default parquet location shared by tests/benches/jobs. */

@@ -18,7 +18,7 @@ class EndToEndSpec extends SparkSpec {
       spark, sf = 0.002, sfLabel = "TEST",
       queries = Queries.oneVariantPerTemplate.take(10),
       dataDir = tmp.resolve("data"), cacheDir = tmp.resolve("profiles"),
-      reps = 3, verbose = false,
+      reps = 3,
     )
   }
 

@@ -85,10 +85,7 @@ class RandomForestSpec extends AnyFunSuite {
     val rows = new RegressionTree.Rows(x, y)
     Array.fill(params.nTrees)(rng.nextLong()).toIndexedSeq.map { seed =>
       val treeRng = new Random(seed)
-      val sample =
-        if (params.bootstrap) Array.fill(x.length)(treeRng.nextInt(x.length))
-        else Array.range(0, x.length)
-      RegressionTreeSpec.exhaustiveGrow(rows, sample, params.tree, treeRng)
+      RegressionTreeSpec.exhaustiveGrow(rows, Array.fill(x.length)(treeRng.nextInt(x.length)))
     }
   }
 
@@ -159,16 +156,6 @@ class RandomForestSpec extends AnyFunSuite {
     val rf  = RandomForest.fit(x, y, IndexedSeq("a", "b", "noise"), RandomForest.Params(nTrees = 30))
     val imp = RandomForest.permutationImportance(rf, x, y, nRepeats = 10, seed = 2)
     assert(imp(2) < 0.2 * math.max(imp(0), imp(1)))
-  }
-
-  test("bootstrap=false with all features reproduces a deterministic fit") {
-    val (x, y) = syntheticData(40, 9)
-    val rf = RandomForest.fit(x, y, IndexedSeq("a", "b", "c"),
-      RandomForest.Params(nTrees = 5, bootstrap = false))
-    // Without bootstrap every tree sees identical data; all trees agree.
-    val probe = Array(1.0, 2.0, 0.5)
-    val preds = rf.trees.map(_.predict(probe)(0)).distinct
-    assert(preds.size == 1)
   }
 
   test("multi-output predictions average across trees per output") {

@@ -2,7 +2,7 @@ package repro.ml
 
 import scala.util.Random
 import org.scalatest.funsuite.AnyFunSuite
-import RegressionTree.{Leaf, Node, Params, Rows, Split, denseRanks}
+import RegressionTree.{Leaf, Node, Rows, Split, denseRanks}
 
 object RegressionTreeSpec {
 
@@ -53,10 +53,10 @@ object RegressionTreeSpec {
   }
 
   /** The exhaustive CART search, row by row: every node sorts its rows by
-    * every candidate feature and every cut between distinct values gets the
-    * exact gain. The reference [[RegressionTree.grow]] must match bit for bit.
+    * every feature and every cut between distinct values gets the exact
+    * gain. The reference [[RegressionTree.grow]] must match bit for bit.
     */
-  def exhaustiveGrow(data: Rows, sample: Array[Int], params: Params, rng: Random): Node = {
+  def exhaustiveGrow(data: Rows, sample: Array[Int]): Node = {
     val n         = sample.length
     val nFeatures = data.nFeatures
     val nOutputs  = data.nOutputs
@@ -120,26 +120,19 @@ object RegressionTreeSpec {
       Leaf(mean.clone())
     }
 
-    def build(idx: Array[Int], depth: Int): Node = {
+    def build(idx: Array[Int]): Node = {
       val m = idx.length
-      if (depth >= params.maxDepth || m < params.minSamplesSplit) return leaf(idx)
       gather(idx, m)
       val parentSse = sse(0, m)
       if (parentSse <= 1e-12) return leaf(idx)
-
-      val nCand = math.min(params.maxFeatures, nFeatures)
-      val candidates =
-        if (nCand >= nFeatures) (0 until nFeatures).toArray
-        else rng.shuffle((0 until nFeatures).toList).take(nCand).toArray
 
       var bestGain = 0.0
       var bestFeature = -1
       var bestThreshold = 0.0
       var bestCut = 0
 
-      var c = 0
-      while (c < candidates.length) {
-        val f = candidates(c)
+      var f = 0
+      while (f < nFeatures) {
         if (orderByRank(idx, ranks(f), buckets, order)) {
           gather(order, m)
           val col = columns(f)
@@ -153,7 +146,7 @@ object RegressionTreeSpec {
             while (o < nOutputs) { sumLeft(o) += ordered(i * nOutputs + o); o += 1 }
             val v0 = col(order(i)); val v1 = col(order(i + 1))
             val cut = i + 1
-            if (v0 < v1 && cut >= params.minSamplesLeaf && m - cut >= params.minSamplesLeaf) {
+            if (v0 < v1) {
               o = 0
               while (o < nOutputs) { mean(o) = sumLeft(o) / cut; o += 1 }
               val sseLeft = deviation(0, cut)
@@ -167,28 +160,24 @@ object RegressionTreeSpec {
           }
           if (improved) System.arraycopy(order, 0, best, 0, m)
         }
-        c += 1
+        f += 1
       }
 
       if (bestFeature < 0) leaf(idx)
       else {
         val left  = java.util.Arrays.copyOfRange(best, 0, bestCut)
         val right = java.util.Arrays.copyOfRange(best, bestCut, m)
-        Split(bestFeature, bestThreshold, build(left, depth + 1), build(right, depth + 1))
+        Split(bestFeature, bestThreshold, build(left), build(right))
       }
     }
 
-    // Depth is counted in node levels: a maxDepth of 1 yields a single leaf.
-    build(sample, depth = 1)
+    build(sample)
   }
 }
 
 class RegressionTreeSpec extends AnyFunSuite {
-  private def rng = new Random(1)
-
-  private def fitOn(x: Seq[Array[Double]], y: Seq[Array[Double]],
-                    params: RegressionTree.Params = RegressionTree.Params()): RegressionTree.Node =
-    RegressionTree.fit(x.toIndexedSeq, y.toIndexedSeq, params, rng)
+  private def fitOn(x: Seq[Array[Double]], y: Seq[Array[Double]]): RegressionTree.Node =
+    RegressionTree.fit(x.toIndexedSeq, y.toIndexedSeq)
 
   test("pure leaf when all targets identical") {
     val tree = fitOn(Seq(Array(1.0), Array(2.0), Array(3.0)), Seq.fill(3)(Array(5.0)))
@@ -209,37 +198,6 @@ class RegressionTreeSpec extends AnyFunSuite {
     val y = (1 to 16).map(i => Array(i * 2.0))
     val tree = fitOn(x, y)
     x.zip(y).foreach { case (xi, yi) => assert(tree.predict(xi).sameElements(yi)) }
-  }
-
-  test("maxDepth = 1 forces a single leaf predicting the mean") {
-    val x = (1 to 4).map(i => Array(i.toDouble))
-    val y = (1 to 4).map(i => Array(i.toDouble))
-    val tree = fitOn(x, y, RegressionTree.Params(maxDepth = 1))
-    assert(tree.isInstanceOf[RegressionTree.Leaf])
-    assert(math.abs(tree.predict(Array(0.0))(0) - 2.5) < 1e-12)
-  }
-
-  /** The path of every leaf of `n`, and the path `x` is routed along. */
-  private def leafPaths(n: Node, path: String = ""): Seq[String] = n match {
-    case _: Leaf           => Seq(path)
-    case Split(_, _, l, r) => leafPaths(l, path + "L") ++ leafPaths(r, path + "R")
-  }
-  private def route(n: Node, x: Array[Double], path: String = ""): String = n match {
-    case _: Leaf             => path
-    case Split(f, thr, l, r) => if (x(f) <= thr) route(l, x, path + "L") else route(r, x, path + "R")
-  }
-
-  test("minSamplesLeaf is honoured") {
-    val x = (1 to 6).map(i => Array(i.toDouble))
-    val y = (1 to 6).map(i => Array(if (i <= 5) 0.0 else 100.0))
-    // A leaf of 1 sample would isolate the outlier; minSamplesLeaf=2 forbids it.
-    val tree = fitOn(x, y, RegressionTree.Params(minSamplesLeaf = 2))
-    val rowsPerLeaf = x.groupBy(route(tree, _)).map { case (path, rows) => path -> rows.size }
-    assert(leafPaths(tree).size > 1, "expected at least one split")
-    for (path <- leafPaths(tree)) assert(rowsPerLeaf.getOrElse(path, 0) >= 2, s"leaf $path")
-    // Best split under the constraint puts >= 2 samples in each side, so no
-    // leaf can predict exactly 100.0 (the singleton).
-    assert(!x.exists(tree.predict(_)(0) == 100.0))
   }
 
   test("multi-output: predicts joint means and splits on joint impurity") {
@@ -263,12 +221,18 @@ class RegressionTreeSpec extends AnyFunSuite {
     }
   }
 
+  /** The number of node levels on the longest root-to-leaf path. */
+  private def depth(n: Node): Int = n match {
+    case _: Leaf           => 1
+    case Split(_, _, l, r) => 1 + math.max(depth(l), depth(r))
+  }
+
   test("depth and nodeCount are consistent") {
     val x = (1 to 8).map(i => Array(i.toDouble))
     val y = (1 to 8).map(i => Array(i.toDouble))
     val tree = fitOn(x, y)
     assert(tree.nodeCount == 15) // perfect binary tree over 8 distinct points
-    assert(tree.depth == 4)
+    assert(depth(tree) == 4)
   }
 
   test("ragged target vectors are rejected") {
@@ -332,14 +296,14 @@ class RegressionTreeSpec extends AnyFunSuite {
   /** Grows a tree on the whole of `x`, `y` and on bootstrap samples of it,
     * with both searches, and compares structure and leaf bits.
     */
-  private def assertExhaustive(x: IndexedSeq[Array[Double]], y: IndexedSeq[Array[Double]], params: Params = Params(),
+  private def assertExhaustive(x: IndexedSeq[Array[Double]], y: IndexedSeq[Array[Double]],
                                samples: Int = 4, clue: String = ""): Unit = {
     val rows = new Rows(x, y)
     val r    = new Random(x.length * 31 + y.head.length)
     val draws = Array.range(0, x.length) +: Seq.fill(samples)(Array.fill(x.length)(r.nextInt(x.length)))
     for ((sample, s) <- draws.zipWithIndex) {
-      val got  = RegressionTree.grow(rows, sample, params, new Random(s))
-      val want = RegressionTreeSpec.exhaustiveGrow(rows, sample, params, new Random(s))
+      val got  = RegressionTree.grow(rows, sample)
+      val want = RegressionTreeSpec.exhaustiveGrow(rows, sample)
       assert(RandomForestSpec.tree(got) == RandomForestSpec.tree(want), s"$clue sample $s")
       for (xi <- x) assert(bits(got.predict(xi)) == bits(want.predict(xi)), s"$clue sample $s")
     }
@@ -389,19 +353,17 @@ class RegressionTreeSpec extends AnyFunSuite {
     val x  = (0 until 8).map(i => Array(i.toDouble, i.toDouble, (7 - i).toDouble))
     val y  = IndexedSeq(0.0, 4.0, 4.0, 0.0, 0.0, 4.0, 4.0, 0.0).map(v => Array(v, 2 * v))
     assertExhaustive(x, y, clue = "mirror")
-    val tree = RegressionTree.fit(x, y, Params(), new Random(1))
+    val tree = RegressionTree.fit(x, y)
     assert(tree.isInstanceOf[Split] && tree.asInstanceOf[Split].feature == 0, "a tie goes to the first feature")
     // Large magnitudes, where the estimate's rounding is far above 1e-15.
     assertExhaustive(x, y.map(_.map(_ * 1e7 + 1e9)), clue = "mirror, offset")
   }
 
-  test("bounded sweep = exhaustive search: minSamplesLeaf, maxFeatures and maxDepth") {
+  test("bounded sweep = exhaustive search: tied feature vectors with one jittered feature") {
     val r = new Random(37)
     val x = tiedFeatures(r, 150, 6, 40).map(f => { f(0) += r.nextDouble(); f })
     val y = x.map(f => Array(f(0) * f(1) + r.nextGaussian(), 1e4 + f(2) - f(3)))
-    for (leaf <- Seq(2, 3, 7); features <- Seq(2, 6); depth <- Seq(3, Int.MaxValue))
-      assertExhaustive(x, y, Params(maxDepth = depth, minSamplesLeaf = leaf, maxFeatures = features),
-        clue = s"minSamplesLeaf $leaf maxFeatures $features maxDepth $depth")
+    assertExhaustive(x, y, samples = 12)
   }
 
   test("bounded sweep = exhaustive search: a NaN or an infinite target") {
@@ -419,14 +381,13 @@ class RegressionTreeSpec extends AnyFunSuite {
       val x = IndexedSeq.fill(n)(Array.fill(5)(r.nextGaussian()))
       val y = x.map(f => Array.tabulate(k)(o => f(o) * f(4) + 3.0 * f(2) + r.nextGaussian() * 0.1))
       assertExhaustive(x, y, clue = s"$n rows, k $k")
-      assertExhaustive(x, y, Params(minSamplesLeaf = 3, maxFeatures = 2), clue = s"$n rows, k $k, minSamplesLeaf 3, maxFeatures 2")
     }
   }
 
-  test("grouped search = exhaustive search: features constant on whole subtrees, maxFeatures < nFeatures") {
+  test("grouped search = exhaustive search: features constant on whole subtrees") {
     // Feature 0 picks a region; in each region only two other features
     // vary and the rest hold a per-region constant. Repeated vectors with
-    // noisy targets make one-group nodes that still draw their features.
+    // noisy targets make one-group nodes.
     val r = new Random(47)
     val vectors = IndexedSeq.tabulate(30) { v =>
       val region = v % 3
@@ -434,8 +395,7 @@ class RegressionTreeSpec extends AnyFunSuite {
     }
     val x = IndexedSeq.fill(160)(vectors(r.nextInt(vectors.size)).clone())
     val y = x.map(f => Array(f(0) * 5 + f(1 + 2 * f(0).toInt) + r.nextGaussian(), f(2 + 2 * f(0).toInt) + r.nextGaussian()))
-    for (features <- Seq(1, 3, 6, 11))
-      assertExhaustive(x, y, Params(maxFeatures = features), samples = 8, clue = s"maxFeatures $features")
+    assertExhaustive(x, y, samples = 8)
   }
 
   test("grouped search = exhaustive search: a late cut beats every earlier one by a wide margin") {
@@ -445,7 +405,7 @@ class RegressionTreeSpec extends AnyFunSuite {
     val x = IndexedSeq.fill(80)(Array.fill(5)(r.nextInt(9).toDouble))
     val y = x.map(f => Array((if (f(3) < 4) 0.0 else 1000.0) + r.nextGaussian(), f(4) + r.nextGaussian()))
     assertExhaustive(x, y, clue = "finite targets")
-    val tree = RegressionTree.fit(x, y, Params(), new Random(1))
+    val tree = RegressionTree.fit(x, y)
     assert(tree.isInstanceOf[Split] && tree.asInstanceOf[Split].feature == 3, "the root splits on feature 3")
     // A NaN target makes its nodes' slack infinite and their estimates NaN,
     // so no cut there can start the scan; nodes without it still skip ahead.
@@ -466,7 +426,6 @@ class RegressionTreeSpec extends AnyFunSuite {
     for (offset <- Seq(0.0, 1e7)) {
       val y = x.map(f => Array(offset + f(0) * f(0) + f(6) + r.nextGaussian() * 0.1, offset - 2 * f(0) + r.nextGaussian()))
       assertExhaustive(x, y, samples = 8, clue = s"offset $offset")
-      assertExhaustive(x, y, Params(maxFeatures = 3), samples = 8, clue = s"offset $offset, maxFeatures 3")
     }
   }
 
@@ -514,13 +473,5 @@ class RegressionTreeSpec extends AnyFunSuite {
     assert(rows.groupsByRank(0).map(rows.groupValues(0)(_)).map(java.lang.Double.doubleToLongBits).toSeq ==
       Seq(-0.0, 0.0, 0.0, Double.NaN).map(java.lang.Double.doubleToLongBits))
     assert(rows.groupsByRank(1).map(rows.groupRanks(1)(_)).toSeq == Seq(0, 0, 0, 1))
-  }
-
-  test("maxFeatures = 1 still fits (feature subsampling)") {
-    val x = (1 to 20).map(i => Array(i.toDouble, (20 - i).toDouble))
-    val y = (1 to 20).map(i => Array(i.toDouble))
-    val tree = RegressionTree.fit(x, y, RegressionTree.Params(maxFeatures = 1), new Random(5))
-    // Both features are informative (x2 = 20 - x1), so any subsample works.
-    assert(tree.predict(Array(1.0, 19.0))(0) < tree.predict(Array(20.0, 0.0))(0))
   }
 }

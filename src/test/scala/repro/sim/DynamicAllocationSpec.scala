@@ -114,6 +114,18 @@ class DynamicAllocationSpec extends AnyFunSuite {
     assert(r.skyline.steps.exists(s => s._1 < r.elapsedMs && s._2 < 4), "idle executors were not removed")
   }
 
+  test("rule policy holds one executor to the end when every executor idles past the timeout") {
+    // The 3 requested executors arrive at 1.05 s, before the stage starts
+    // at 1.5 s, and all finish its tasks at 1.6 s. The 1.5 s driver tail
+    // then leaves every one idle past the 1 s timeout before the app ends.
+    val p = TaskProfile("tail", IndexedSeq(stage(0, Seq.fill(12)(100.0))), wallMs = 0.0, driverMs = 3000.0)
+    val r = simulate(p, PredictiveRule(initial = 1, target = 4, params = DaParams(allocLagMs = 1000.0)), fidelity = exact)
+    assert(r.elapsedMs == 3100.0)
+    // Two are removed when their timeout expires at 2.6 s; the third is
+    // held until the app releases it.
+    assert(r.skyline.steps.takeRight(2) == IndexedSeq((2600.0, 1), (3100.0, 0)))
+  }
+
   test("AUC ordering on a paper-shaped query: Rule(16) < DA(1,48) < SA(48)") {
     // The wide first stage pushes DA to its 48 cap, which it then holds
     // through the saturated middle stage; Rule's prediction of 16 does the

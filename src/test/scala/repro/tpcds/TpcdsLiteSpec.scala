@@ -9,6 +9,17 @@ import repro.SparkSpec
 class TpcdsLiteSpec extends SparkSpec {
   private val sf = 0.002
 
+  /** Total on-disk bytes of materialized table `name`, 0 if it is absent. */
+  private def tableBytes(baseDir: Path, name: String): Long = {
+    val dir = TpcdsLite.tableDir(baseDir, sf, name)
+    if (!Files.exists(dir)) 0L
+    else {
+      val stream = Files.walk(dir)
+      try stream.filter(Files.isRegularFile(_)).mapToLong(Files.size(_)).sum()
+      finally stream.close()
+    }
+  }
+
   test("all eight tables generate") {
     val ts = TpcdsLite.tables(spark, sf)
     assert(ts.keySet == TpcdsLite.tableNames.toSet)
@@ -66,9 +77,9 @@ class TpcdsLiteSpec extends SparkSpec {
     assert(ts("store_sales").count() == (2880000 * sf).toLong)
     assert(spark.sql("SELECT COUNT(*) AS c FROM store_sales").head().getLong(0) == (2880000 * sf).toLong)
     // Second call must reuse the files (idempotence).
-    val before = TpcdsLite.tableBytes(dir, sf, "store_sales")
+    val before = tableBytes(dir, "store_sales")
     TpcdsLite.materialize(spark, sf, dir)
-    assert(TpcdsLite.tableBytes(dir, sf, "store_sales") == before)
+    assert(tableBytes(dir, "store_sales") == before)
   }
 
   test("materialize ignores a copy written by an older generator") {
@@ -86,7 +97,7 @@ class TpcdsLiteSpec extends SparkSpec {
     val dir = Files.createTempDirectory("tpcds2")
     TpcdsLite.materialize(spark, sf, dir)
     TpcdsLite.tableNames.foreach { t =>
-      assert(TpcdsLite.tableBytes(dir, sf, t) > 0L, s"table $t has no bytes")
+      assert(tableBytes(dir, t) > 0L, s"table $t has no bytes")
     }
   }
 
