@@ -58,11 +58,16 @@ object RandomForest {
     // Tree seeds are drawn in order before the fan-out, so the forest is the
     // same whatever the number of cores or the scheduling.
     val rng   = new Random(params.seed)
-    val seeds = Array.fill(params.nTrees)(rng.nextLong())
+    val seeds = new Array[Long](params.nTrees)
+    var k     = 0
+    while (k < seeds.length) { seeds(k) = rng.nextLong(); k += 1 }
     val rows  = new RegressionTree.Rows(x, y)
     val trees = Par.tabulate(params.nTrees) { t =>
       val treeRng = new Random(seeds(t))
-      RegressionTree.grow(rows, Array.fill(x.length)(treeRng.nextInt(x.length)))
+      val sample  = new Array[Int](rows.size)
+      var i = 0
+      while (i < sample.length) { sample(i) = treeRng.nextInt(sample.length); i += 1 }
+      RegressionTree.grow(rows, sample)
     }
     RandomForest(trees, featureNames, y.head.length)
   }

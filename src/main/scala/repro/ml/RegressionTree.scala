@@ -50,26 +50,22 @@ object RegressionTree {
     val ranks: Array[Array[Int]]      = columns.map(denseRanks)
     val targets: Array[Double]        = y.iterator.flatMap(_.iterator).toArray
 
-    private def compareKeys(a: Int, b: Int): Int = {
-      var f = 0
-      while (f < nFeatures) {
-        val c = Integer.compare(ranks(f)(a), ranks(f)(b))
-        if (c != 0) return c
-        f += 1
-      }
-      0
-    }
-
-    /** Each row's group id. */
+    /** Each row's group id. Feature by feature, a row's id becomes the
+      * dense rank of its id so far and its rank key, packed in a long.
+      */
     val groupOf: Array[Int] = new Array[Int](size)
     val nGroups: Int = {
-      val sorted = Array.range(0, size).sortWith(compareKeys(_, _) < 0)
-      var g = 0
-      for (i <- sorted.indices) {
-        if (i > 0 && compareKeys(sorted(i - 1), sorted(i)) != 0) g += 1
-        groupOf(sorted(i)) = g
+      val keys  = new Array[Long](size)
+      var count = 1
+      var f     = 0
+      while (f < nFeatures) {
+        val rank = ranks(f)
+        var i = 0
+        while (i < size) { keys(i) = groupOf(i).toLong << 32 | rank(i); i += 1 }
+        count = denseRanks(keys, groupOf)
+        f += 1
       }
-      g + 1
+      count
     }
     // A row of each group; its rows differ in value only by NaN payloads.
     private val member = new Array[Int](nGroups)
@@ -79,16 +75,51 @@ object RegressionTree {
     val groupRanks: Array[Array[Int]]     = ranks.map(r => member.map(r))
     val groupValues: Array[Array[Double]] = columns.map(c => member.map(c))
     /** Per feature, the group ids in rank order, ties by id. */
-    val groupsByRank: Array[Array[Int]] = groupRanks.map(r => Array.range(0, nGroups).sortBy(r))
+    val groupsByRank: Array[Array[Int]] = groupRanks.map { r =>
+      val keys = new Array[Long](nGroups)
+      var g = 0
+      while (g < nGroups) { keys(g) = r(g).toLong << 32 | g; g += 1 }
+      java.util.Arrays.sort(keys)
+      val byRank = new Array[Int](nGroups)
+      g = 0
+      while (g < nGroups) { byRank(g) = keys(g).toInt; g += 1 }
+      byRank
+    }
+
+    /** The features split search reads: every feature but one that is an
+      * earlier feature's twin on every set of groups. Two features are such
+      * twins when each group has the same rank key in both, and a value of
+      * the same kind in both: NaN, -0.0, 0.0 or other. For two groups of
+      * rising rank key, `v0 < v1` fails only when v1 is NaN or the pair is
+      * (-0.0, 0.0), so it holds in both features or in neither. Then the two
+      * order any node's groups alike, with rank changes and `v0 < v1` at the
+      * same places, and the later one's cuts would never be listed (see
+      * [[grow]], Twins).
+      */
+    val searched: Array[Int] = {
+      def kind(v: Double): Int =
+        if (v.isNaN) 1 else if (v != 0.0) 0 else if (java.lang.Double.doubleToRawLongBits(v) < 0) 2 else 3
+      def twins(f: Int, h: Int): Boolean = {
+        var g = 0
+        while (g < nGroups && groupRanks(f)(g) == groupRanks(h)(g) && kind(groupValues(f)(g)) == kind(groupValues(h)(g))) g += 1
+        g == nGroups
+      }
+      val out = new Array[Int](nFeatures)
+      var k   = 0
+      var f   = 0
+      while (f < nFeatures) {
+        var e = 0
+        while (e < k && !twins(out(e), f)) e += 1
+        if (e == k) { out(k) = f; k += 1 }
+        f += 1
+      }
+      java.util.Arrays.copyOf(out, k)
+    }
   }
 
-  /** Fit a tree on `x(i) -> y(i)` (bootstrap resampling is the forest's job). */
-  def fit(x: IndexedSeq[Array[Double]], y: IndexedSeq[Array[Double]]): Node =
-    grow(new Rows(x, y), Array.range(0, x.length))
-
   /** Fit a tree on the rows `sample` of `data`, in that order; a row may
-    * repeat, as in a bootstrap sample. The tree is the one [[fit]] gives on
-    * `sample.map(x)` and `sample.map(y)`.
+    * repeat, as in a bootstrap sample. The tree is the one grown on
+    * `Rows(sample.map(x), sample.map(y))` with its rows in order.
     *
     * The tree is the one the exhaustive CART search builds, bit for bit.
     * That search orders a node's rows by each feature's rank keys
@@ -96,7 +127,8 @@ object RegressionTree {
     * between two rows with `v0 < v1` the gain `parentSse - sseLeft -
     * sseRight`, each side's impurity summed in that order around the side's
     * mean; a cut replaces the best split when its gain beats the best by
-    * more than 1e-15. The search here reaches the same split with less work:
+    * more than 1e-15. A node whose `parentSse` is at most 1e-12 is a leaf.
+    * The search here reaches the same split with less work:
     *  - Groups. A node holds whole groups of [[Rows]], never part of one, so
     *    it keeps its groups as one range `[lo, hi)` of per-feature arrays of
     *    the sample's groups in rank order, the same range in every feature's
@@ -112,10 +144,12 @@ object RegressionTree {
     *    in O(K) from running sums over the groups, with `L_o` the sum of
     *    output `o` over the `c` rows left of the cut, `R_o` over the
     *    `r = m − c` rows right of it and `P_o` over the node's `m` rows. In
-    *    real arithmetic `G'` is the gain. The sums are taken group by group,
-    *    in an order unlike the exhaustive search's, but the bound below only
-    *    uses that a rounded sum of n values is within (n − 1)·u·Σ|x| of the
-    *    real one, which holds for any order and grouping of the additions.
+    *    real arithmetic `G'` is the gain. The sums, `P_o` and the node's
+    *    Σy² included, are taken group by group from the sample's per-group
+    *    sums, in an order unlike the exhaustive search's, but the bounds
+    *    below only use that a rounded sum of n values is within
+    *    (n − 1)·u·Σ|x| of the real one, which holds for any order and
+    *    grouping of the additions.
     *  - Twins. A feature that orders the node's groups as an earlier
     *    feature does (the same groups in the same order, with rank changes
     *    and `v0 < v1` at the same places) has the same cuts, and sorts the
@@ -123,7 +157,9 @@ object RegressionTree {
     *    an earlier one bit for bit. Once the exhaustive search has weighed a
     *    gain g, the rounded `best + 1e-15` stays at least g, so the repeat
     *    cannot replace the best: leaving the twin's cuts out of the list
-    *    does not change the split the search picks.
+    *    does not change the split the search picks. A feature that is a
+    *    twin on every node is left out from the start (see
+    *    [[Rows.searched]]).
     *  - Exact scan. The cuts are listed in the exhaustive search's order:
     *    features ascending, cuts ascending. In that search the best
     *    gain before a cut is 0 or an earlier cut's exact gain, which is at
@@ -137,11 +173,30 @@ object RegressionTree {
     *    the node's rows by the cut's feature, once per feature, and sums in
     *    that order, as the exhaustive search does. The winner's row order is
     *    derived again to give the children's rows.
+    *  - Scan start without its exact gain (see [[bestCut]]). d's exact gain
+    *    is a double at least `G'_d − slack` in real arithmetic, and rounding
+    *    is monotone, so it is at least the rounded `G'_d − slack`. Until a
+    *    later cut's `G' + slack` tops that lower bound by more than 1e-15,
+    *    each cut the scan meets would be skipped against d's exact gain too.
+    *    The first cut that tops it gets d's exact gain computed, and from
+    *    there the scan is the one above. So the scan skips exactly the cuts
+    *    it skipped with d's gain in hand, and when no cut tops the bound, d
+    *    wins without an exact gain.
+    *  - Node impurity. A node's `parentSse` is needed only by its leaf test
+    *    and its exact gains. The children of a winner whose exact gain was
+    *    computed already have theirs: a child's rows are the winner's row
+    *    order on its side of the cut, in that order, so its `parentSse` is
+    *    that side's `sseLeft` or `sseRight` bit for bit. Any other node
+    *    settles the leaf test with the estimate `E' = Σy² − Σ_o P_o²/m`:
+    *    it is a leaf if `E' + slack <= 1e-12` and not a leaf if
+    *    `E' − slack > 1e-12`. Only otherwise (a NaN bound included) does it
+    *    compute `parentSse` over its rows for the test; else it does so
+    *    once an exact gain needs it.
     *
     * `slack` bounds |gain − G'| for every cut of a node, the computed exact
-    * gain against the computed estimate. With u = 2^-53^,
-    * S = Σ y² over the node's rows and outputs, A = Σ |y| of one output
-    * over a set of rows, G the cut's gain in real arithmetic, and the
+    * gain against the computed estimate, and |parentSse − E'|. With
+    * u = 2^-53^, S = Σ y² over the node's rows and outputs, A = Σ |y| of one
+    * output over a set of rows, G the cut's gain in real arithmetic, and the
     * standard bounds for rounded sums and products (Higham, ''Accuracy and
     * Stability of Numerical Algorithms'', ch. 3–4), to first order in u:
     *  - Exact gain. A side of n rows has a computed mean within u·A per
@@ -161,11 +216,22 @@ object RegressionTree {
     *    most 2(2m − 1)·√(m/r)·u·S ≤ 4m√m·u·S; rounding adds 2u·S.
     *  - Summing the terms (at most K + 1 additions deep) and the subtraction
     *    add (K + 2)·u·S, so |G' − G| ≤ (4m√m + 4m + 2K + 2)·u·S.
+    *  - Leaf-test margin. `parentSse` is the node's squared error computed
+    *    as one side's is above, so within (mK + 2)·u·S of the real one. Σy²
+    *    is a sum of mK rounded squares, within mK·u·S; the parent's terms
+    *    are within (2m + K)·u·S and the subtraction adds u·S. So
+    *    |parentSse − E'| ≤ (2mK + 2m + K + 3)·u·S, less than the slack. If
+    *    the rounded `E' − slack` is above 1e-12, so is `E' − slack` in real
+    *    arithmetic (rounding is monotone) and so is `parentSse`. If the
+    *    rounded `E' + slack` is at most 1e-12, then `E' + slack` and
+    *    `parentSse` lie below the next double above 1e-12, and `parentSse`,
+    *    a double, is at most 1e-12. The margin is the slack itself.
     *  - `slack = (mK + 2m√m + 2m + 2K + 8)·2^-51^·Ŝ`, with Ŝ the rounded S,
-    *    is (4mK + 8m√m + 8m + 8K + 32)·u·Ŝ. Its surplus over the two
-    *    bounds, at least (2mK + 4m√m + 4m + 6K + 22)·u·S, covers the
-    *    second-order terms, the rounding of Ŝ and of the slack, and the
-    *    rounding of `G' ± slack` and of `+ 1e-15` in the tests.
+    *    is (4mK + 8m√m + 8m + 8K + 32)·u·Ŝ. Its surplus over the bounds, at
+    *    least (2mK + 4m√m + 4m + 6K + 22)·u·S over the two of a cut and
+    *    more over the margin's, covers the second-order terms, the rounding
+    *    of Ŝ and of the slack, and the rounding of `G' ± slack` and of
+    *    `+ 1e-15` in the tests.
     *  - No overflow or underflow breaks this: the slack is finite only while
     *    2^-900^ ≤ Ŝ and 8m·Ŝ < `Double.MaxValue`. Then no sum or square of
     *    either computation overflows (s² ≤ A² ≤ m·S), and each rounded
@@ -173,9 +239,10 @@ object RegressionTree {
     *    below u·Ŝ.
     *
     * Otherwise (a NaN or infinite target, or targets near either end of the
-    * double range) the slack is +∞: no cut qualifies as d and every cut gets
-    * the exact gain. A cut is skipped only when `G' + slack <= best + 1e-15`,
-    * so a cut whose estimate is NaN gets the exact gain too.
+    * double range) the slack is +∞: no cut qualifies as d, every cut gets
+    * the exact gain and the leaf test reads `parentSse`. A cut is skipped
+    * only when `G' + slack <= best + 1e-15`, so a cut whose estimate is NaN
+    * gets the exact gain too.
     */
   private[ml] def grow(data: Rows, sample: Array[Int]): Node = {
     val n         = sample.length
@@ -185,21 +252,49 @@ object RegressionTree {
     val ranks     = data.ranks
 
     // The sample's groups: the rows each holds, their per-output target
-    // sums, and per feature the groups in rank order.
-    val groupRows = new Array[Int](data.nGroups)
-    val groupSums = new Array[Double](data.nGroups * nOutputs)
-    for (row <- sample) {
-      val g = data.groupOf(row)
-      groupRows(g) += 1
-      var o = 0
-      while (o < nOutputs) { groupSums(g * nOutputs + o) += targets(row * nOutputs + o); o += 1 }
+    // sums, their Σy² over all outputs, and per searched feature the groups
+    // in rank order.
+    val groupRows    = new Array[Int](data.nGroups)
+    val groupSums    = new Array[Double](data.nGroups * nOutputs)
+    val groupSquares = new Array[Double](data.nGroups)
+    val nGroups = {
+      var i = 0
+      while (i < n) {
+        val row = sample(i)
+        val g   = data.groupOf(row)
+        groupRows(g) += 1
+        var o = 0
+        while (o < nOutputs) {
+          val v = targets(row * nOutputs + o)
+          groupSums(g * nOutputs + o) += v
+          groupSquares(g) += v * v
+          o += 1
+        }
+        i += 1
+      }
+      var count = 0
+      var g     = 0
+      while (g < data.nGroups) { if (groupRows(g) > 0) count += 1; g += 1 }
+      count
     }
-    val nGroups  = groupRows.count(_ > 0)
-    val segments = data.groupsByRank.map { byRank =>
-      val seg = new Array[Int](nGroups)
-      var k = 0
-      for (g <- byRank) if (groupRows(g) > 0) { seg(k) = g; k += 1 }
-      seg
+    val segments = {
+      val out = new Array[Array[Int]](nFeatures)
+      var c   = 0
+      while (c < data.searched.length) {
+        val f      = data.searched(c)
+        val byRank = data.groupsByRank(f)
+        val seg    = new Array[Int](nGroups)
+        var k = 0
+        var j = 0
+        while (j < byRank.length) {
+          val g = byRank(j)
+          if (groupRows(g) > 0) { seg(k) = g; k += 1 }
+          j += 1
+        }
+        out(f) = seg
+        c += 1
+      }
+      out
     }
 
     // Scratch reused by every node: its rows ordered by a feature,
@@ -217,12 +312,15 @@ object RegressionTree {
     val kept     = new Array[Int](nFeatures)
 
     // The current node's cuts in scan order: feature, index of the first
-    // group right of the cut, rows left of it, and G'.
+    // group right of the cut, rows left of it, G', and each side's squared
+    // error, `Unknown` until the cut's exact gain computes it.
     val maxCuts     = nFeatures * math.max(nGroups - 1, 0)
     val cutFeature  = new Array[Int](maxCuts)
     val cutGroup    = new Array[Int](maxCuts)
     val cutRows     = new Array[Int](maxCuts)
     val cutEstimate = new Array[Double](maxCuts)
+    val cutLeftSse  = new Array[Double](maxCuts)
+    val cutRightSse = new Array[Double](maxCuts)
     var nCuts       = 0
     // The feature `order` and `ordered` hold the current node's rows by.
     var sortedBy    = -1
@@ -267,6 +365,13 @@ object RegressionTree {
 
     def sse(lo: Int, hi: Int): Double = { meanOf(lo, hi); deviation(lo, hi) }
 
+    /** The node's `parentSse`: the squared error of its rows `idx` in that order. */
+    def rowSse(idx: Array[Int]): Double = {
+      gather(idx, idx.length)
+      sortedBy = -1
+      sse(0, idx.length)
+    }
+
     def leaf(idx: Array[Int]): Leaf = {
       gather(idx, idx.length)
       meanOf(0, idx.length)
@@ -299,6 +404,7 @@ object RegressionTree {
             o += 1
           }
           cutFeature(nCuts) = f; cutGroup(nCuts) = j + 1; cutRows(nCuts) = rows; cutEstimate(nCuts) = e - parentTerm
+          cutLeftSse(nCuts) = Unknown; cutRightSse(nCuts) = Unknown
           nCuts += 1
         }
         j += 1
@@ -328,12 +434,15 @@ object RegressionTree {
       sortedBy = f
     }
 
-    /** The exact gain of cut `k` of the node with rows `idx` and groups `lo until hi`. */
+    /** The exact gain of cut `k` of the node with rows `idx` and groups
+      * `lo until hi`; keeps each side's squared error for the children.
+      */
     def exactGain(idx: Array[Int], lo: Int, hi: Int, k: Int, parentSse: Double): Double = {
       if (cutFeature(k) != sortedBy) { sortRows(idx, cutFeature(k), lo, hi); gather(order, idx.length) }
-      val c       = cutRows(k)
-      val sseLeft = sse(0, c)
-      parentSse - sseLeft - sse(c, idx.length)
+      val c = cutRows(k)
+      cutLeftSse(k) = sse(0, c)
+      cutRightSse(k) = sse(c, idx.length)
+      parentSse - cutLeftSse(k) - cutRightSse(k)
     }
 
     /** Whether features `f` and `h` are twins on the groups `lo until hi`:
@@ -367,39 +476,58 @@ object RegressionTree {
       System.arraycopy(spill, 0, seg, w, k)
     }
 
-    def build(idx: Array[Int], lo: Int, hi: Int, inherited: Array[Int]): Node = {
+    /** The node with rows `idx` and groups `lo until hi`, whose varying
+      * features are among `inherited`; `knownSse` is its `parentSse`, or
+      * `Unknown`.
+      */
+    def build(idx: Array[Int], lo: Int, hi: Int, inherited: Array[Int], knownSse: Double): Node = {
       val m = idx.length
       val varying = {
         val out = new Array[Int](inherited.length)
         var k = 0
-        for (f <- inherited) {
-          val seg = segments(f); val rank = data.groupRanks(f)
+        var c = 0
+        while (c < inherited.length) {
+          val f = inherited(c); val seg = segments(f); val rank = data.groupRanks(f)
           if (rank(seg(lo)) != rank(seg(hi - 1))) { out(k) = f; k += 1 }
+          c += 1
         }
         java.util.Arrays.copyOf(out, k)
       }
       // One group: no cut exists.
       if (varying.isEmpty) return leaf(idx)
-      gather(idx, m)
-      val parentSse = sse(0, m)
-      if (parentSse <= 1e-12) return leaf(idx)
 
-      // The node's Σy², P_o and Σ_o P_o²/m, and the slack they give (see grow).
-      var squares    = 0.0
-      var parentTerm = 0.0
+      // The node's Σy², P_o and Σ_o P_o²/m from its groups' sums (a varying
+      // feature's range holds the node's groups), and the slack they give
+      // (see grow).
+      val groups  = segments(varying(0))
+      var squares = 0.0
       var o = 0
-      while (o < nOutputs) {
-        var s = 0.0
-        var p = o
-        while (p < m * nOutputs) { val v = ordered(p); s += v; squares += v * v; p += nOutputs }
-        nodeSum(o) = s
-        parentTerm += s * s / m
-        o += 1
+      while (o < nOutputs) { nodeSum(o) = 0.0; o += 1 }
+      var j = lo
+      while (j < hi) {
+        val g = groups(j)
+        squares += groupSquares(g)
+        o = 0
+        while (o < nOutputs) { nodeSum(o) += groupSums(g * nOutputs + o); o += 1 }
+        j += 1
       }
+      var parentTerm = 0.0
+      o = 0
+      while (o < nOutputs) { parentTerm += nodeSum(o) * nodeSum(o) / m; o += 1 }
       val slack =
         if (squares >= TwoPowMinus900 && squares * (8.0 * m) < Double.MaxValue)
           (m * nOutputs + 2 * m * math.sqrt(m) + 2 * m + 2 * nOutputs + 8) * TwoPowMinus51 * squares
         else Double.PositiveInfinity
+
+      // The leaf test, settled from E' when the slack keeps it clear of
+      // 1e-12 (see grow).
+      var parentSse = knownSse
+      if (parentSse == Unknown) {
+        val e = squares - parentTerm
+        if (e + slack <= 1e-12) return leaf(idx)
+        if (!(e - slack > 1e-12)) parentSse = rowSse(idx)
+      }
+      if (parentSse != Unknown && parentSse <= 1e-12) return leaf(idx)
 
       // Cuts of the varying features, skipping a twin of an earlier one.
       nCuts = 0
@@ -414,35 +542,34 @@ object RegressionTree {
       }
 
       sortedBy = -1
-      var best     = scanStart(cutEstimate, nCuts, slack)
-      var bestGain = if (best >= 0) exactGain(idx, lo, hi, best, parentSse) else 0.0
-      var k = best + 1
-      while (k < nCuts) {
-        if (!(cutEstimate(k) + slack <= bestGain + 1e-15)) {
-          val gain = exactGain(idx, lo, hi, k, parentSse)
-          if (gain > bestGain + 1e-15) { bestGain = gain; best = k }
-        }
-        k += 1
-      }
+      val best = bestCut(cutEstimate, nCuts, slack, k => {
+        if (parentSse == Unknown) parentSse = rowSse(idx)
+        exactGain(idx, lo, hi, k, parentSse)
+      })
       if (best < 0) return leaf(idx)
 
-      val f   = cutFeature(best)
-      val seg = segments(f)
-      val mid = cutGroup(best)
+      val f        = cutFeature(best)
+      val seg      = segments(f)
+      val mid      = cutGroup(best)
+      val leftSse  = cutLeftSse(best)
+      val rightSse = cutRightSse(best)
       if (f != sortedBy) sortRows(idx, f, lo, hi)
       val left  = java.util.Arrays.copyOfRange(order, 0, cutRows(best))
       val right = java.util.Arrays.copyOfRange(order, cutRows(best), m)
-      var j = lo
+      j = lo
       while (j < hi) { goesLeft(seg(j)) = j < mid; j += 1 }
       c = 0
       while (c < varying.length) { if (varying(c) != f) partition(segments(varying(c)), lo, hi); c += 1 }
       val value = data.groupValues(f)
       Split(f, (value(seg(mid - 1)) + value(seg(mid))) / 2.0,
-        build(left, lo, mid, varying), build(right, mid, hi, varying))
+        build(left, lo, mid, varying, leftSse), build(right, mid, hi, varying, rightSse))
     }
 
-    build(sample, 0, nGroups, Array.range(0, nFeatures))
+    build(sample, 0, nGroups, data.searched, Unknown)
   }
+
+  /** A `parentSse` not computed yet; a computed one is never negative. */
+  private val Unknown = -1.0
 
   /** Where the exact scan of a node's cuts may start, given their estimates
     * G' in scan order and the node's slack: the last cut whose `G' − slack`
@@ -465,6 +592,33 @@ object RegressionTree {
     d
   }
 
+  /** The cut the exact scan picks, given the node's estimates G' in scan
+    * order, its slack and `gain(k)`, the exact gain of cut k; -1 if no cut
+    * wins. The scan starts at [[scanStart]]'s d. It calls `gain(d)` only
+    * once a later cut's `G' + slack` tops `G'_d − slack` by more than
+    * 1e-15, and a later cut's gain only when `G' + slack` could beat the
+    * best exact gain by more than that. So `gain` has been called for the
+    * winner, unless no call was made at all. See [[grow]].
+    */
+  private[ml] def bestCut(estimates: Array[Double], nCuts: Int, slack: Double, gain: Int => Double): Int = {
+    var best     = scanStart(estimates, nCuts, slack)
+    // The best exact gain so far, or d's lower bound until `exact`.
+    var bestGain = if (best >= 0) estimates(best) - slack else 0.0
+    var exact    = best < 0
+    var k        = best + 1
+    while (k < nCuts) {
+      if (!(estimates(k) + slack <= bestGain + 1e-15)) {
+        if (!exact) { bestGain = gain(best); exact = true }
+        if (!(estimates(k) + slack <= bestGain + 1e-15)) {
+          val g = gain(k)
+          if (g > bestGain + 1e-15) { bestGain = g; best = k }
+        }
+      }
+      k += 1
+    }
+    best
+  }
+
   private val TwoPowMinus51  = java.lang.Math.scalb(1.0, -51)
   private val TwoPowMinus900 = java.lang.Math.scalb(1.0, -900)
 
@@ -472,14 +626,35 @@ object RegressionTree {
     * equal values share a key and `-0.0` ranks below `0.0`.
     */
   private[ml] def denseRanks(col: Array[Double]): Array[Int] = {
-    val distinct = col.clone()
+    // `Double.compare`'s order as a long order: the bits of `doubleToLongBits`
+    // (one NaN), with the magnitude bits of negative values flipped.
+    val keys = new Array[Long](col.length)
+    var i = 0
+    while (i < col.length) {
+      val b = java.lang.Double.doubleToLongBits(col(i))
+      keys(i) = b ^ ((b >> 63) & Long.MaxValue)
+      i += 1
+    }
+    val out = new Array[Int](col.length)
+    denseRanks(keys, out)
+    out
+  }
+
+  /** Writes the dense rank of each of `keys` to `out`: equal keys share a
+    * rank, and ranks follow the keys' order. Returns the number of distinct
+    * keys.
+    */
+  private def denseRanks(keys: Array[Long], out: Array[Int]): Int = {
+    val distinct = keys.clone()
     java.util.Arrays.sort(distinct)
     var k = 0
     var i = 0
     while (i < distinct.length) {
-      if (k == 0 || java.lang.Double.compare(distinct(k - 1), distinct(i)) != 0) { distinct(k) = distinct(i); k += 1 }
+      if (k == 0 || distinct(k - 1) != distinct(i)) { distinct(k) = distinct(i); k += 1 }
       i += 1
     }
-    col.map(v => java.util.Arrays.binarySearch(distinct, 0, k, v))
+    i = 0
+    while (i < keys.length) { out(i) = java.util.Arrays.binarySearch(distinct, 0, k, keys(i)); i += 1 }
+    k
   }
 }

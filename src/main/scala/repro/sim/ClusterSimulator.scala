@@ -173,7 +173,7 @@ object ClusterSimulator {
     val driverHead  = 0.5 * profile.driverMs
     var appEnd      = driverHead
 
-    for (stage <- profile.stages.sortBy(s => (s.jobIndex, s.stageId))) {
+    for (stage <- profile.runOrder) {
       if (stage.jobIndex != curJob) { prevJobEnd = jobEndSoFar; curJob = stage.jobIndex }
       val parentEnd = stage.parentIds.map(p => finish.getOrElse(p, 0.0)).foldLeft(0.0)(math.max)
       val ready     = math.max(driverHead, math.max(parentEnd, prevJobEnd))
@@ -214,18 +214,16 @@ object ClusterSimulator {
       val stageMb = (stage.shuffleReadBytes + stage.inputBytes).toDouble / (1024.0 * 1024.0)
       val spill   = spillFactor(stageMb, nExec, fidelity)
 
-      // Longest task first: an ascending primitive sort read backwards
-      // (durations are never NaN, so this is the order of `sortBy(-_)`).
-      val durations = stage.taskDurationsMs.toArray
-      java.util.Arrays.sort(durations)
+      // Longest task first.
+      val durations = stage.longestFirstMs
       var stageEnd = ready
-      var t = durations.length - 1
-      while (t >= 0) {
+      var t = 0
+      while (t < durations.length) {
         val noise = math.exp(rng.nextGaussian() * fidelity.noiseSigma - fidelity.noiseSigma * fidelity.noiseSigma / 2)
         val cost  = durations(t) * noise * ecPen * spill + fidelity.taskLaunchOverheadMs + shuffleExtraMs
         val end   = pool.scheduleTask(ready, cost)
         stageEnd = math.max(stageEnd, end)
-        t -= 1
+        t += 1
       }
       finish(stage.stageId) = stageEnd
       jobEndSoFar = math.max(jobEndSoFar, stageEnd)

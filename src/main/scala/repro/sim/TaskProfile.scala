@@ -32,6 +32,19 @@ final case class StageProfile(
   val totalTaskMs: Double = taskDurationsMs.sum
   val maxTaskMs: Double   = if (taskDurationsMs.isEmpty) 0.0 else taskDurationsMs.max
   def numTasks: Int       = taskDurationsMs.length
+
+  /** The task durations longest first, the order the simulator launches
+    * them in: an ascending primitive sort read backwards (durations are
+    * never NaN, so this is the order of `sortBy(-_)`).
+    */
+  private[sim] val longestFirstMs: Array[Double] = {
+    val ascending = taskDurationsMs.toArray
+    java.util.Arrays.sort(ascending)
+    val out = new Array[Double](ascending.length)
+    var i = 0
+    while (i < out.length) { out(i) = ascending(out.length - 1 - i); i += 1 }
+    out
+  }
 }
 
 /** Full task-level profile of one query run — the analogue of the paper's
@@ -50,6 +63,9 @@ final case class TaskProfile(
     wallMs: Double,
     driverMs: Double,
 ) {
+  /** The stages in the order the simulator runs them: by job, then stage id. */
+  private[sim] val runOrder: IndexedSeq[StageProfile] = stages.sortBy(s => (s.jobIndex, s.stageId))
+
   /** Write the profile file; see [[TaskProfile.load]] for the format. */
   def save(path: Path): Unit = {
     require(queryId.nonEmpty && !queryId.exists(_.isWhitespace), s"query id '$queryId' must be one word")

@@ -6,6 +6,10 @@ import RegressionTree.{Leaf, Node, Rows, Split, denseRanks}
 
 object RegressionTreeSpec {
 
+  /** Fit a tree on `x(i) -> y(i)`, each row once. */
+  def fit(x: IndexedSeq[Array[Double]], y: IndexedSeq[Array[Double]]): Node =
+    RegressionTree.grow(new Rows(x, y), Array.range(0, x.length))
+
   /** The row sort of [[exhaustiveGrow]]. Writes `idx` ordered by `rank`,
     * ties kept in input order, to `out(0 until idx.length)` and returns
     * true; returns false and leaves `out` alone when all of `idx` share one
@@ -177,7 +181,7 @@ object RegressionTreeSpec {
 
 class RegressionTreeSpec extends AnyFunSuite {
   private def fitOn(x: Seq[Array[Double]], y: Seq[Array[Double]]): RegressionTree.Node =
-    RegressionTree.fit(x.toIndexedSeq, y.toIndexedSeq)
+    RegressionTreeSpec.fit(x.toIndexedSeq, y.toIndexedSeq)
 
   test("pure leaf when all targets identical") {
     val tree = fitOn(Seq(Array(1.0), Array(2.0), Array(3.0)), Seq.fill(3)(Array(5.0)))
@@ -353,7 +357,7 @@ class RegressionTreeSpec extends AnyFunSuite {
     val x  = (0 until 8).map(i => Array(i.toDouble, i.toDouble, (7 - i).toDouble))
     val y  = IndexedSeq(0.0, 4.0, 4.0, 0.0, 0.0, 4.0, 4.0, 0.0).map(v => Array(v, 2 * v))
     assertExhaustive(x, y, clue = "mirror")
-    val tree = RegressionTree.fit(x, y)
+    val tree = RegressionTreeSpec.fit(x, y)
     assert(tree.isInstanceOf[Split] && tree.asInstanceOf[Split].feature == 0, "a tie goes to the first feature")
     // Large magnitudes, where the estimate's rounding is far above 1e-15.
     assertExhaustive(x, y.map(_.map(_ * 1e7 + 1e9)), clue = "mirror, offset")
@@ -405,7 +409,7 @@ class RegressionTreeSpec extends AnyFunSuite {
     val x = IndexedSeq.fill(80)(Array.fill(5)(r.nextInt(9).toDouble))
     val y = x.map(f => Array((if (f(3) < 4) 0.0 else 1000.0) + r.nextGaussian(), f(4) + r.nextGaussian()))
     assertExhaustive(x, y, clue = "finite targets")
-    val tree = RegressionTree.fit(x, y)
+    val tree = RegressionTreeSpec.fit(x, y)
     assert(tree.isInstanceOf[Split] && tree.asInstanceOf[Split].feature == 3, "the root splits on feature 3")
     // A NaN target makes its nodes' slack infinite and their estimates NaN,
     // so no cut there can start the scan; nodes without it still skip ahead.
@@ -459,6 +463,104 @@ class RegressionTreeSpec extends AnyFunSuite {
     assert(scanStart(Array(Double.NaN, 100.0), 2, 0.5) == -1)
     assert(scanStart(Array(1.0, 100.0), 2, Double.PositiveInfinity) == -1)
     assert(scanStart(Array.emptyDoubleArray, 0, 0.5) == -1)
+  }
+
+  test("bestCut: the scan start wins without an exact gain when no later cut could beat it") {
+    import RegressionTree.bestCut
+    val called = collection.mutable.ArrayBuffer.empty[Int]
+    def gains(g: Double*): Int => Double = { k => called += k; g(k) }
+    // d = 1; cut 2's 2.0 + 0.5 does not top d's lower bound 10.0 - 0.5.
+    assert(bestCut(Array(1.0, 10.0, 2.0), 3, 0.5, gains(1.0, 10.0, 2.0)) == 1)
+    assert(called.isEmpty)
+    // No d: every cut that could beat the best so far gets its exact gain.
+    assert(bestCut(Array(0.2, 0.6, 0.3), 3, 0.5, gains(0.2, 0.6, 0.3)) == 1)
+    assert(called == Seq(0, 1, 2))
+    called.clear()
+    assert(bestCut(Array.emptyDoubleArray, 0, 0.5, gains()) == -1)
+    assert(called.isEmpty)
+  }
+
+  test("bestCut: a later cut that tops the scan start's lower bound forces its exact gain") {
+    import RegressionTree.bestCut
+    val called = collection.mutable.ArrayBuffer.empty[Int]
+    def gains(g: Double*): Int => Double = { k => called += k; g(k) }
+    // d = 0 with lower bound 10.0 - 0.5; cut 1's 9.5 + 0.5 tops it. d's
+    // exact gain 9.6 leaves room for cut 1, whose exact gain 9.9 wins:
+    // both lie within the slack of their estimates.
+    assert(bestCut(Array(10.0, 9.5), 2, 0.5, gains(9.6, 9.9)) == 1)
+    assert(called == Seq(0, 1))
+    called.clear()
+    // d's exact gain 10.4 rules cut 1 out without its exact gain.
+    assert(bestCut(Array(10.0, 9.5), 2, 0.5, gains(10.4, 9.9)) == 0)
+    assert(called == Seq(0))
+    called.clear()
+    // A NaN estimate after d gets the exact gain, and d's before it.
+    assert(bestCut(Array(10.0, Double.NaN), 2, 0.5, gains(9.6, 20.0)) == 1)
+    assert(called == Seq(0, 1))
+  }
+
+  test("grouped search = exhaustive search: node impurity within the leaf-test margin around 1e-12") {
+    // Targets with a large offset and a squared error near 1e-12: E' is off
+    // by far more than 1e-12, so only a margin that covers its rounding
+    // settles the leaf test the way the row-order SSE does.
+    val r = new Random(61)
+    val x = IndexedSeq.tabulate(8)(i => Array(i.toDouble, (i % 3).toDouble))
+    val roots = for (offset <- Seq(0.0, 1e3, -1e4, 1e6); sse <- Seq(0.3e-12, 0.8e-12, 1.0e-12, 1.2e-12, 3e-12); k <- Seq(1, 2)) yield {
+      val noise = IndexedSeq.fill(x.length)(r.nextGaussian())
+      val mean  = noise.sum / noise.length
+      val scale = math.sqrt(sse / k / noise.map(v => (v - mean) * (v - mean)).sum)
+      val y     = noise.map(v => Array.tabulate(k)(o => offset * (o + 1) + (v - mean) * scale))
+      assertExhaustive(x, y, samples = 6, clue = s"offset $offset sse $sse k $k")
+      RegressionTreeSpec.exhaustiveGrow(new Rows(x, y), Array.range(0, x.length)).isInstanceOf[Leaf]
+    }
+    assert(roots.contains(true) && roots.contains(false), "the roots straddle the leaf test")
+  }
+
+  test("grouped search = exhaustive search: a scan start that wins with no exact gain") {
+    // A step of 100 in feature 0's middle: its cut's lower bound is far
+    // above every later cut's upper bound, so the root, and the nodes
+    // below it, split without the winner's exact gain.
+    val r = new Random(67)
+    val x = IndexedSeq.tabulate(64)(i => Array((i % 16).toDouble, r.nextInt(5).toDouble))
+    val y = x.map(f => Array((if (f(0) < 8) 0.0 else 100.0) + f(0) * 0.5 + r.nextGaussian() * 1e-3, f(1)))
+    assertExhaustive(x, y, samples = 8)
+  }
+
+  test("grouped search = exhaustive search: a later cut forces the scan start's exact gain") {
+    // Feature 1 orders the rows as feature 0 does but for one swapped pair
+    // far from the step, so it is no twin. Its cut at the step has the same
+    // sides as the scan start, feature 0's: in real arithmetic the same
+    // gain, so its `G' + slack` tops the scan start's lower bound.
+    val r = new Random(71)
+    for (offset <- Seq(0.0, 1e5)) {
+      val x = IndexedSeq.tabulate(40)(i => Array(i.toDouble, (if (i < 2) 1 - i else i).toDouble))
+      val y = x.map(f => Array(offset + (if (f(0) < 20) 0.0 else 1.0) + r.nextGaussian() * 1e-9))
+      assertExhaustive(x, y, samples = 8, clue = s"offset $offset")
+    }
+  }
+
+  test("grouped search = exhaustive search: groups of equal feature vectors with distinct targets") {
+    // Four feature vectors repeated over 120 rows, each row with its own
+    // target: a node's sums come from its groups, and a one-group node is
+    // a leaf that averages distinct targets.
+    val r       = new Random(73)
+    val vectors = IndexedSeq(Array(0.0, 1.0, 5.0), Array(1.0, 1.0, 2.0), Array(1.0, 0.0, 2.0), Array(2.0, 0.0, 9.0))
+    val x       = IndexedSeq.fill(120)(vectors(r.nextInt(vectors.size)).clone())
+    for (offset <- Seq(0.0, 1e6)) {
+      val y = x.map(f => Array(offset + f(0) * 3 + r.nextGaussian(), f(2) - offset + r.nextGaussian() * 0.1))
+      assertExhaustive(x, y, samples = 8, clue = s"offset $offset")
+    }
+  }
+
+  test("Rows.searched leaves out a feature that is an earlier one's twin on every set of groups") {
+    // Feature 1 copies feature 0 and feature 2 triples it. Feature 3 turns
+    // its zeros into -0.0 and feature 4 its 5s into NaN: the same rank keys,
+    // but values of another kind. Feature 5 reverses it.
+    val x = IndexedSeq.tabulate(30) { i =>
+      val a = (i % 6).toDouble
+      Array(a, a, a * 3, if (a == 0.0) -0.0 else a, if (a == 5.0) Double.NaN else a, -a)
+    }
+    assert(new Rows(x, x.map(_ => Array(0.0))).searched.toSeq == Seq(0, 3, 4, 5))
   }
 
   test("Rows groups rows by their rank keys: -0.0 and 0.0 apart, every NaN together") {
