@@ -14,7 +14,8 @@ import org.apache.spark.sql.catalyst.rules.Rule
   *      first load — the inference step is on the live query path, §4.4);
   *   2. featurizes the optimized plan (Table 2 features);
   *   3. scores the model once to obtain the PPM parameters;
-  *   4. evaluates the predicted PPM over candidate executor counts;
+  *   4. evaluates the predicted PPM over the candidate executor counts
+  *      [[ConfigSelector.FullRange]], `n ∈ [1,48]`;
   *   5. applies the selection strategy and requests the chosen count.
   *
   * Step 5's `sc.requestTotalExecutors` has no effect on a local master, so
@@ -28,13 +29,11 @@ import org.apache.spark.sql.catalyst.rules.Rule
   *   - `spark.repro.autoexecutor.enabled`   — gate, default false
   *   - `spark.repro.autoexecutor.modelPath` — a saved [[ParameterModel]] file
   *   - `spark.repro.autoexecutor.strategy`  — `elbow` or `slowdown:<H>`
-  *   - `spark.repro.autoexecutor.maxExecutors` — candidate grid upper bound
   */
 object AutoExecutorRule extends Rule[LogicalPlan] {
   val EnabledKey            = "spark.repro.autoexecutor.enabled"
   val ModelPathKey          = "spark.repro.autoexecutor.modelPath"
   val StrategyKey           = "spark.repro.autoexecutor.strategy"
-  val MaxExecutorsKey       = "spark.repro.autoexecutor.maxExecutors"
   val RequestedExecutorsKey = "spark.repro.autoexecutor.requestedExecutors"
   val PredictedTimesKey     = "spark.repro.autoexecutor.predictedTimes"
 
@@ -45,7 +44,6 @@ object AutoExecutorRule extends Rule[LogicalPlan] {
 
     val modelPath = Option(conf.getConfString(ModelPathKey, null))
       .getOrElse(throw new IllegalStateException(s"$EnabledKey is set but $ModelPathKey is not"))
-    val maxN     = conf.getConfString(MaxExecutorsKey, "48").toInt
     val strategy = parseStrategy(conf.getConfString(StrategyKey, "elbow"))
 
     val (model, loadMs) = cachedModel(Paths.get(modelPath))
@@ -58,7 +56,7 @@ object AutoExecutorRule extends Rule[LogicalPlan] {
     val ppm     = model.predictPpm(features)
     val scoreMs = (System.nanoTime() - t1) / 1e6
 
-    val curve = ppm.curve(1 to maxN)
+    val curve = ppm.curve(ConfigSelector.FullRange)
     val n     = strategy.select(curve)
 
     conf.setConfString(RequestedExecutorsKey, n.toString)

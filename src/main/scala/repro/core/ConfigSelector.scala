@@ -9,6 +9,11 @@ package repro.core
   */
 object ConfigSelector {
 
+  /** The candidate executor counts `n ∈ [1,48]`, the paper's pool range:
+    * the rule and the selection experiments both choose from it.
+    */
+  val FullRange: IndexedSeq[Int] = (1 to 48).toIndexedSeq
+
   /** Piecewise-linear interpolation of `(n, t)` samples onto every integer
     * `n` in `[min, max]` of the sampled grid (§5.3).
     */

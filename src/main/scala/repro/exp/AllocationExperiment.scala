@@ -49,7 +49,7 @@ object AllocationExperiment {
   def predictedCounts(workload: Workload, folds: IndexedSeq[TrainedFold], repeat: Int = 0, h: Double = 1.05): Map[String, Int] = {
     folds.filter(_.repeat == repeat).flatMap { fold =>
       fold.testIds.map { id =>
-        val curve = fold.predict(PpmKind.PowerLaw, workload.byId(id), SelectionExperiment.FullRange)
+        val curve = fold.predict(PpmKind.PowerLaw, workload.byId(id), ConfigSelector.FullRange)
         id -> ConfigSelector.limitedSlowdown(curve, h)
       }
     }.toMap

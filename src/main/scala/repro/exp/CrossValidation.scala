@@ -28,10 +28,13 @@ object CrossValidation {
       models(kind).predictPpm(PlanFeaturizer.project(q.features, featureSubset)).curve(ns)
   }
 
+  /** One (repeat, fold, train ids, test ids) split. */
+  type Split = (Int, Int, IndexedSeq[String], IndexedSeq[String])
+
   /** Deterministic fold assignment: `repeats` shuffles of the id list, each
     * split into `k` near-equal folds.
     */
-  def splits(ids: IndexedSeq[String], k: Int, repeats: Int, seed: Long): IndexedSeq[(Int, Int, IndexedSeq[String], IndexedSeq[String])] = {
+  def splits(ids: IndexedSeq[String], k: Int, repeats: Int, seed: Long): IndexedSeq[Split] = {
     require(k >= 2 && ids.size >= k, s"need at least k=$k queries, got ${ids.size}")
     (0 until repeats).flatMap { r =>
       val rng      = new Random(seed + r)
@@ -44,7 +47,8 @@ object CrossValidation {
     }
   }
 
-  /** Train parameter models for every (repeat, fold) split.
+  /** Train parameter models for every (repeat, fold) split of a
+    * `repeats` × `k`-fold CV at `seed`.
     *
     * Labels come from PPM fits to each query's [[QueryData.labelCurve]]
     * (the paper's training-data augmentation, §4.1); features may be
@@ -52,14 +56,18 @@ object CrossValidation {
     */
   def trainFolds(
       workload: Workload,
-      kinds: Seq[PpmKind] = PpmKind.all,
-      k: Int = 5,
-      repeats: Int = 10,
-      seed: Long = 7L,
+      kinds: Seq[PpmKind],
+      k: Int,
+      repeats: Int,
+      seed: Long,
       featureSubset: IndexedSeq[String] = PlanFeaturizer.featureNames,
       rfParams: RandomForest.Params = RandomForest.Params(),
-  ): IndexedSeq[TrainedFold] = {
-    val folds = splits(workload.queries.map(_.query.id), k, repeats, seed)
+  ): IndexedSeq[TrainedFold] =
+    train(workload, kinds, splits(workload.queries.map(_.query.id), k, repeats, seed), featureSubset, rfParams)
+
+  /** Train parameter models for every given split. */
+  def train(workload: Workload, kinds: Seq[PpmKind], folds: IndexedSeq[Split], featureSubset: IndexedSeq[String],
+      rfParams: RandomForest.Params): IndexedSeq[TrainedFold] = {
     val examples = folds.map { case (_, _, trainIds, _) =>
       trainIds.map { id =>
         val q = workload.byId(id)

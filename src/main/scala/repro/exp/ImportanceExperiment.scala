@@ -80,25 +80,17 @@ object ImportanceExperiment {
     "F3" -> PlanFeaturizer.F3,
   )
 
-  /** E(n) of each feature set on the test folds of a `repeats` × `k`-fold
-    * CV at `seed`. `f0Folds` are that CV's full-feature (F0) folds, which
-    * T3 has trained already; F1–F3 train their own on the same splits.
+  /** E(n) of each feature set on the test folds of a CV. `f0Folds` are
+    * that CV's full-feature (F0) folds, which T3 has trained already; F1–F3
+    * train their own on the same splits.
     */
-  def runAblation(
-      workload: Workload,
-      f0Folds: IndexedSeq[TrainedFold],
-      k: Int = 5,
-      repeats: Int = 10,
-      seed: Long = 7L,
-  ): AblationResult = {
-    val splits = CrossValidation.splits(workload.queries.map(_.query.id), k, repeats, seed)
-    require(f0Folds.forall(_.featureSubset == PlanFeaturizer.F0) &&
-      f0Folds.map(f => (f.repeat, f.fold, f.trainIds, f.testIds)) == splits,
-      s"f0Folds are not the full-feature folds of a $repeats x $k-fold CV at seed $seed")
+  def runAblation(workload: Workload, f0Folds: IndexedSeq[TrainedFold]): AblationResult = {
+    require(f0Folds.forall(_.featureSubset == PlanFeaturizer.F0), "f0Folds are not full-feature (F0) folds")
+    val splits = f0Folds.map(f => (f.repeat, f.fold, f.trainIds, f.testIds))
     val e = for {
       (setName, subset) <- FeatureSets
       folds = if (subset == PlanFeaturizer.F0) f0Folds
-              else CrossValidation.trainFolds(workload, PpmKind.all, k, repeats, seed, featureSubset = subset)
+              else CrossValidation.train(workload, PpmKind.all, splits, subset, RandomForest.Params())
       test  = PredictionExperiment.run(workload, folds).test
       kind <- PpmKind.all
     } yield (setName, kind) -> test.find(_.name == kind.name).get.byN.map { case (n, m, _) => n -> m }

@@ -1,6 +1,7 @@
 package repro.exp
 
 import repro.core.{ConfigSelector, PpmKind}
+import repro.core.ConfigSelector.FullRange
 import repro.exp.CrossValidation.TrainedFold
 
 /** T4 — §5.3 "Limited Slowdown" + T5 — Figure 11 "Elbow Point" selection.
@@ -12,7 +13,6 @@ import repro.exp.CrossValidation.TrainedFold
   */
 object SelectionExperiment {
 
-  val FullRange: IndexedSeq[Int] = (1 to 48).toIndexedSeq
   val HValues: IndexedSeq[Double] = IndexedSeq(1.0, 1.05, 1.1, 1.2, 1.5, 2.0)
 
   val Methods: IndexedSeq[String] = IndexedSeq("Actual", "S", "AE_PL", "AE_AL")

@@ -31,7 +31,7 @@ final class Tables(val sf100: Workload, sf10Workload: => Workload, spark: Option
   lazy val t7: (CrossSfExperiment.Result, CrossSfExperiment.Result) =
     (CrossSfExperiment.run(train = sf100, test = sf10), CrossSfExperiment.run(train = sf10, test = sf100))
   lazy val t8a: ImportanceExperiment.ImportanceResult = ImportanceExperiment.runImportance(sf100, folds, nRepeats = 100)
-  lazy val t8b: ImportanceExperiment.AblationResult   = ImportanceExperiment.runAblation(sf100, folds.filter(_.repeat < 5), repeats = 5)
+  lazy val t8b: ImportanceExperiment.AblationResult   = ImportanceExperiment.runAblation(sf100, folds.filter(_.repeat < 5))
   lazy val t9: OverheadsExperiment.Result             = OverheadsExperiment.run(sf100, spark)
 
   /** The text of table `name`: one of [[Tables.Names]], where "T8" is T8a

@@ -147,20 +147,18 @@ object ClusterSimulator {
     val (scaleUp, idleRemoval): (Option[DaParams], Option[(Double, Int)]) = policy match {
       case Static(n) =>
         require(n >= 1, s"static allocation needs n >= 1, got $n")
-        (0 until n).foreach(_ => pool.addExecutor(0.0))
+        pool.addExecutors(n, 0.0, 0.0)
         (None, None)
       case Dynamic(p) =>
-        (0 until math.max(p.minExecutors, 1)).foreach(_ => pool.addExecutor(0.0))
+        pool.addExecutors(math.max(p.minExecutors, 1), 0.0, 0.0)
         (Some(p), Some((p.idleTimeoutMs, math.max(p.minExecutors, 1))))
       case PredictiveRule(initial, target, p) =>
         require(initial >= 1, s"rule policy needs initial >= 1, got $initial")
-        (0 until initial).foreach(_ => pool.addExecutor(0.0))
+        pool.addExecutors(initial, 0.0, 0.0)
         // The predictive request: all missing executors asked for at rule
         // time, arriving gradually after the allocation lag.
-        val missing = math.min(target, p.maxExecutors) - initial
-        (0 until math.max(missing, 0)).foreach { i =>
-          pool.addExecutor(RuleDelayMs + p.allocLagMs + i * p.perExecutorSpacingMs)
-        }
+        pool.addExecutors(math.min(target, p.maxExecutors) - initial, RuleDelayMs + p.allocLagMs,
+          p.perExecutorSpacingMs)
         (None, Some((p.idleTimeoutMs, 1))) // the rule keeps at least one executor alive
     }
 
@@ -181,7 +179,7 @@ object ClusterSimulator {
       // Reactive scale-down: drop executors that have sat idle past the
       // timeout before this stage became ready (most-idle first), keeping
       // the policy's floor.
-      idleRemoval.foreach { case (timeoutMs, floor) => removeIdle(pool, timeoutMs, floor, until = ready) }
+      idleRemoval.foreach { case (timeoutMs, floor) => pool.removeIdle(timeoutMs, floor, untilMs = ready) }
 
       // Reactive scale-up (Dynamic only): exponential request rounds while
       // the stage's tasks exceed live and inbound capacity, following
@@ -196,9 +194,7 @@ object ClusterSimulator {
         var batch    = 1
         while (visible < needed) {
           val add = math.min(batch, needed - visible)
-          (0 until add).foreach { i =>
-            pool.addExecutor(reqTime + p.allocLagMs + i * p.perExecutorSpacingMs)
-          }
+          pool.addExecutors(add, reqTime + p.allocLagMs, p.perExecutorSpacingMs)
           visible += add
           batch *= 2
           reqTime += p.sustainedTimeoutMs
@@ -234,20 +230,8 @@ object ClusterSimulator {
     // Idle removal also happens while trailing serial work runs (Spark's DA
     // monitors continuously, not only at stage starts) — apply it up to the
     // end of the app before the skyline is read.
-    idleRemoval.foreach { case (timeoutMs, floor) => removeIdle(pool, timeoutMs, floor, until = elapsed) }
+    idleRemoval.foreach { case (timeoutMs, floor) => pool.removeIdle(timeoutMs, floor, untilMs = elapsed) }
     RunResult(elapsed, pool.skyline(elapsed))
-  }
-
-  /** Remove executors whose idle time exceeded `timeoutMs` strictly before
-    * `until`, keeping `floor` executors. Most-idle executors go first and
-    * each is removed at the moment its timeout actually expired.
-    */
-  private def removeIdle(pool: ExecutorPool, timeoutMs: Double, floor: Int, until: Double): Unit = {
-    val removable = pool.live
-      .filter(e => e.lastBusyMs + timeoutMs <= until)
-      .sortBy(_.lastBusyMs)
-    for (e <- removable if pool.size > floor)
-      pool.removeExecutor(e, e.lastBusyMs + timeoutMs)
   }
 
   /** Mean after discarding points outside ±1.5×IQR (paper §5.1). */
@@ -290,23 +274,19 @@ object ClusterSimulator {
 }
 
 /** Mutable pool of simulated executors, each `coresPerExecutor` slots wide.
-  * Executors may arrive mid-run (`arrivalMs`) and be removed when idle; the
-  * pool records allocation deltas for skyline construction.
+  * Executors may arrive mid-run and be removed once idle; their arrival and
+  * removal times, indexed by executor id, give the skyline.
   *
-  * A min-tree over the slot free times, slots ordered by executor then
-  * slot, finds a task's slot in O(log slots); a removed executor's slots
-  * hold +∞. A slot is never free before its executor arrives, since task
-  * costs are not negative.
+  * A min-tree over the slots, ordered by executor then slot, is the pool's
+  * one record of when each slot is next free, and finds a task's slot in
+  * O(log slots). A slot's leaf starts at its executor's arrival and never
+  * decreases while the executor is live, since task costs are not negative;
+  * a removed executor's slots hold +∞.
   */
 final class ExecutorPool(val coresPerExecutor: Int) {
 
-  final class Executor(val id: Int, val arrivalMs: Double) {
-    val slotFreeAt: Array[Double] = Array.fill(coresPerExecutor)(arrivalMs)
-    var removedAt: Double         = Double.PositiveInfinity
-    def lastBusyMs: Double        = math.max(arrivalMs, slotFreeAt.max)
-  }
-
-  private val executors = mutable.ArrayBuffer.empty[Executor]
+  private val arrivals  = mutable.ArrayBuffer.empty[Double]
+  private val removals  = mutable.ArrayBuffer.empty[Double] // +∞ while the executor is live
   private var liveCount = 0
 
   /** Leaves `capacity until 2 * capacity` are the slots; node `i` holds the
@@ -334,29 +314,49 @@ final class ExecutorPool(val coresPerExecutor: Int) {
     tree = grown
   }
 
-  def addExecutor(arrivalMs: Double): Executor = {
-    val e = new Executor(executors.length, arrivalMs)
-    executors += e
-    liveCount += 1
-    ensureCapacity(executors.length * coresPerExecutor)
-    var s = 0
-    while (s < coresPerExecutor) { setSlot(e.id * coresPerExecutor + s, arrivalMs); s += 1 }
-    e
-  }
+  private def setExecutor(id: Int, freeAtMs: Double): Unit =
+    (0 until coresPerExecutor).foreach(s => setSlot(id * coresPerExecutor + s, freeAtMs))
 
-  def removeExecutor(e: Executor, atMs: Double): Unit = {
-    require(e.removedAt.isInfinity, s"executor ${e.id} already removed")
-    e.removedAt = atMs
-    liveCount -= 1
-    var s = 0
-    while (s < coresPerExecutor) { setSlot(e.id * coresPerExecutor + s, Double.PositiveInfinity); s += 1 }
-  }
+  /** When slot `slot` of executor `id` is next free; +∞ once it is removed. */
+  private[sim] def slotFreeAt(id: Int, slot: Int): Double = tree(capacity + id * coresPerExecutor + slot)
 
-  def live: Seq[Executor] = executors.filter(_.removedAt.isInfinity).toSeq
-
-  /** Executors not removed, arrived or still inbound: what the DA policy
-    * sees as "current + inbound".
+  /** Add `count` executors (none if `count <= 0`), the `i`-th arriving at
+    * `atMs + i * spacingMs`.
     */
+  def addExecutors(count: Int, atMs: Double, spacingMs: Double): Unit = {
+    ensureCapacity((arrivals.length + math.max(count, 0)) * coresPerExecutor)
+    for (i <- 0 until count) {
+      val arrivalMs = atMs + i * spacingMs
+      setExecutor(arrivals.length, arrivalMs)
+      arrivals += arrivalMs
+      removals += Double.PositiveInfinity
+      liveCount += 1
+    }
+  }
+
+  private[sim] def removeExecutor(id: Int, atMs: Double): Unit = {
+    require(removals(id).isInfinity, s"executor $id already removed")
+    removals(id) = atMs
+    liveCount -= 1
+    setExecutor(id, Double.PositiveInfinity)
+  }
+
+  /** Remove the executors whose idle time exceeded `timeoutMs` strictly
+    * before `untilMs`, keeping `floor` executors. An executor was last busy
+    * when its last slot came free (its arrival if it ran no task). Most-idle
+    * executors go first and each is removed at the moment its timeout
+    * actually expired.
+    */
+  def removeIdle(timeoutMs: Double, floor: Int, untilMs: Double): Unit = {
+    val idle = arrivals.indices
+      .filter(removals(_).isInfinity)
+      .map(id => id -> (0 until coresPerExecutor).map(slotFreeAt(id, _)).max)
+      .filter { case (_, lastBusyMs) => lastBusyMs + timeoutMs <= untilMs }
+      .sortBy(_._2)
+    for ((id, lastBusyMs) <- idle if liveCount > floor) removeExecutor(id, lastBusyMs + timeoutMs)
+  }
+
+  /** Executors not removed, arrived or still inbound: DA's "current + inbound". */
   def size: Int = liveCount
 
   /** Greedily place one task of length `costMs`, ready at `readyMs`, on the
@@ -369,13 +369,9 @@ final class ExecutorPool(val coresPerExecutor: Int) {
     val bound = math.max(readyMs, tree(1))
     var i = 1
     while (i < capacity) i = if (tree(2 * i) <= bound) 2 * i else 2 * i + 1
-    val slot  = i - capacity
-    val e     = executors(slot / coresPerExecutor)
-    val s     = slot % coresPerExecutor
-    val start = math.max(math.max(readyMs, e.arrivalMs), e.slotFreeAt(s))
-    e.slotFreeAt(s) = start + costMs
-    setSlot(slot, start + costMs)
-    start + costMs
+    val finish = math.max(readyMs, tree(i)) + costMs
+    setSlot(i - capacity, finish)
+    finish
   }
 
   /** Build the skyline from executor lifetimes, clamped to the query window
@@ -384,13 +380,9 @@ final class ExecutorPool(val coresPerExecutor: Int) {
     * live is released at `endMs`.
     */
   def skyline(endMs: Double): Skyline = {
-    val ds = executors.iterator
-      .filter(_.arrivalMs < endMs)
-      .flatMap { e =>
-        val release = math.min(if (e.removedAt.isInfinity) endMs else e.removedAt, endMs)
-        Seq((e.arrivalMs, +1), (release, -1))
-      }
-      .toIndexedSeq
+    val ds = arrivals.indices
+      .filter(arrivals(_) < endMs)
+      .flatMap(id => Seq((arrivals(id), +1), (math.min(removals(id), endMs), -1)))
     Skyline(ds, endMs)
   }
 }

@@ -102,16 +102,15 @@ object TpcdsLite {
 
   def dateDim(spark: SparkSession): DataFrame = {
     import spark.implicits._
+    val day = date_add(lit("1992-01-01").cast(DateType), ($"d_date_sk" - 1).cast("int"))
     rows(spark, 1, NDateDim + 1).toDF("d_date_sk").select(
       $"d_date_sk",
-      date_format(date_add(lit("1992-01-01").cast(DateType), ($"d_date_sk" - 1).cast("int")),
-                  "yyyy-MM-dd")                                                       as "d_date",
-      year(date_add(lit("1992-01-01").cast(DateType), ($"d_date_sk" - 1).cast("int"))) as "d_year",
-      month(date_add(lit("1992-01-01").cast(DateType), ($"d_date_sk" - 1).cast("int"))) as "d_moy",
-      dayofmonth(date_add(lit("1992-01-01").cast(DateType), ($"d_date_sk" - 1).cast("int"))) as "d_dom",
-      quarter(date_add(lit("1992-01-01").cast(DateType), ($"d_date_sk" - 1).cast("int"))) as "d_qoy",
-      date_format(date_add(lit("1992-01-01").cast(DateType), ($"d_date_sk" - 1).cast("int")),
-                  "EEEE")                                                             as "d_day_name",
+      date_format(day, "yyyy-MM-dd") as "d_date",
+      year(day)                      as "d_year",
+      month(day)                     as "d_moy",
+      dayofmonth(day)                as "d_dom",
+      quarter(day)                   as "d_qoy",
+      date_format(day, "EEEE")       as "d_day_name",
     )
   }
 

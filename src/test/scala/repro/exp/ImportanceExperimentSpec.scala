@@ -26,7 +26,7 @@ class ImportanceExperimentSpec extends AnyFunSuite {
   test("runAblation reads T3's test series: the per-n loop's E(n) bit for bit") {
     def bits(byN: IndexedSeq[(Int, Double)]) = byN.map { case (n, e) => n -> java.lang.Double.doubleToRawLongBits(e) }
     val f0  = CrossValidation.trainFolds(withCurves, PpmKind.all, k = 5, repeats = 2, seed = 3)
-    val got = ImportanceExperiment.runAblation(withCurves, f0, k = 5, repeats = 2, seed = 3).eByN
+    val got = ImportanceExperiment.runAblation(withCurves, f0).eByN
     val ref = referenceAblation(withCurves, k = 5, repeats = 2, seed = 3, WorkloadRunner.Grid)
     assert(got.keySet == ref.keySet)
     assert(got.keySet.size == ImportanceExperiment.FeatureSets.size * PpmKind.all.size)

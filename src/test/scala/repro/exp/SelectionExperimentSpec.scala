@@ -2,8 +2,9 @@ package repro.exp
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{ConfigSelector, PpmKind}
+import repro.core.ConfigSelector.FullRange
 import repro.exp.CrossValidation.TrainedFold
-import repro.exp.SelectionExperiment.{ElbowResult, FullRange, HValues, Methods, SlowdownCell, SlowdownResult}
+import repro.exp.SelectionExperiment.{ElbowResult, HValues, Methods, SlowdownCell, SlowdownResult}
 
 object SelectionExperimentSpec {
 

@@ -244,8 +244,7 @@ class ClusterSimulatorSpec extends AnyFunSuite {
       val cores = Seq(1, 2, 4, 8)(trial % 4)
       val pool  = new ExecutorPool(cores)
       val ref   = new ScanPool(cores)
-      val execs = mutable.ArrayBuffer.empty[pool.Executor]
-      def add(arrivalMs: Double): Unit = { execs += pool.addExecutor(arrivalMs); ref.add(arrivalMs) }
+      def add(arrivalMs: Double): Unit = { pool.addExecutors(1, arrivalMs, 0.0); ref.add(arrivalMs) }
       (0 until 1 + r.nextInt(6)).foreach(_ => add(0.0))
       // Every fifth pool is static; the others add executors, some arriving
       // later (the rule's inbound requests), and remove live ones.
@@ -255,9 +254,9 @@ class ClusterSimulatorSpec extends AnyFunSuite {
         val op = r.nextInt(20)
         if (!static && op < 2) add(now + r.nextInt(4) * 5.0)
         else if (!static && op == 2 && pool.size > 1) {
-          val live = execs.indices.filter(e => !ref.removed(e))
+          val live = ref.arrival.indices.filter(e => !ref.removed(e))
           val e    = live(r.nextInt(live.size))
-          pool.removeExecutor(execs(e), now)
+          pool.removeExecutor(e, now)
           ref.removed(e) = true
         } else {
           // Times on a 2.5 ms grid, so ties at `ready` and between slots are common.
@@ -267,10 +266,14 @@ class ClusterSimulatorSpec extends AnyFunSuite {
           val finish = pool.scheduleTask(ready, cost)
           val (e, s, expected) = ref.schedule(ready, cost)
           assert(doubleToRawLongBits(finish) == doubleToRawLongBits(expected), s"trial $trial step $step")
-          assert(doubleToRawLongBits(execs(e).slotFreeAt(s)) == doubleToRawLongBits(expected), s"trial $trial step $step")
-          assert(execs.indices.forall(i => execs(i).slotFreeAt.sameElements(ref.freeAt(i))), s"trial $trial step $step")
+          assert(doubleToRawLongBits(pool.slotFreeAt(e, s)) == doubleToRawLongBits(expected), s"trial $trial step $step")
+          // A removed executor's slots are +∞ in the pool's one record.
+          assert(ref.arrival.indices.forall(i => (0 until cores).forall { s =>
+            val want = if (ref.removed(i)) Double.PositiveInfinity else ref.freeAt(i)(s)
+            doubleToRawLongBits(pool.slotFreeAt(i, s)) == doubleToRawLongBits(want)
+          }), s"trial $trial step $step")
         }
-        maxSlots = math.max(maxSlots, execs.size * cores)
+        maxSlots = math.max(maxSlots, ref.arrival.size * cores)
       }
       assert(pool.size == ref.removed.count(!_))
     }
